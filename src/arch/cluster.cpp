@@ -213,8 +213,7 @@ void Cluster::reset_run_state() {
   dma_status_reads_ = 0;
   dma_retired_reads_ = 0;
   activity_ = 0;
-  last_activity_value_ = 0;
-  last_activity_cycle_ = 0;
+  watchdog_.reset();
   if (telemetry_ != nullptr) {
     telemetry_->reset();
     next_sample_at_ = telemetry_->timeline() != nullptr
@@ -891,26 +890,11 @@ void Cluster::skip_to(sim::Cycle target) {
 }
 
 void Cluster::maybe_fast_forward(u64 max_cycles) {
-  const sim::Cycle bound =
-      std::min<sim::Cycle>(max_cycles, last_activity_cycle_ + kDeadlockWindow);
-  const sim::Cycle target = fast_forward_target(bound);
+  const sim::Cycle target = fast_forward_target(watchdog_.horizon(max_cycles));
   if (target <= cycle_ + 1) {
     return;  // nothing to skip (or an event is already due/past)
   }
   skip_to(target);
-}
-
-void Cluster::step_component(sim::Cycle now) {
-  MP3D_ASSERT(now == cycle_ + 1);
-  (void)now;
-  step();
-}
-
-sim::Cycle Cluster::next_event_cycle(sim::Cycle /*now*/) const {
-  if (awake_cores_ > 0) {
-    return cycle_ + 1;  // a runnable core executes every cycle
-  }
-  return fast_forward_target(sim::kNever);
 }
 
 sim::Cycle Cluster::next_wake_event() const {
@@ -925,7 +909,8 @@ sim::Cycle Cluster::next_wake_event() const {
 
 std::string Cluster::deadlock_diagnostic() const {
   std::ostringstream oss;
-  oss << "no progress for " << kDeadlockWindow << " cycles at cycle " << cycle_ << "\n";
+  oss << "no progress for " << sim::Watchdog::kWindow << " cycles at cycle " << cycle_
+      << "\n";
   u32 shown = 0;
   for (const auto& core : cores_) {
     if (shown >= 8) {
@@ -980,7 +965,7 @@ void Cluster::collect_counters(sim::CounterSet& counters) const {
   counters.set("cycles", cycle_);
 }
 
-RunResult Cluster::finish(bool eoc, bool deadlock, bool hit_max, u64 /*max_cycles*/) {
+RunResult Cluster::finish(bool eoc, bool deadlock, bool hit_max) {
   RunResult result;
   result.cycles = cycle_;
   result.eoc = eoc;
@@ -1022,33 +1007,22 @@ RunResult Cluster::finish(bool eoc, bool deadlock, bool hit_max, u64 /*max_cycle
 RunResult Cluster::run(u64 max_cycles) {
   MP3D_CHECK(image_ != nullptr, "no program loaded");
   while (cycle_ < max_cycles) {
-    if (fast_forward_ && awake_cores_ == 0 && halted_cores_ < cfg_.num_cores()) {
+    if (fast_forward_ && quiescent()) {
       maybe_fast_forward(max_cycles);
     }
     step();
     if (eoc_) {
-      return finish(true, false, false, max_cycles);
+      return finish(true, false, false);
     }
     if (all_cores_halted()) {
-      return finish(false, false, false, max_cycles);
+      return finish(false, false, false);
     }
-    if (activity_ != last_activity_value_) {
-      last_activity_value_ = activity_;
-      last_activity_cycle_ = cycle_;
-    } else if (cycle_ - last_activity_cycle_ >= kDeadlockWindow) {
-      if (next_wake_event() != sim::kNever) {
-        // A completion is scheduled for a known future cycle (slow gmem
-        // response, DMA retire, in-flight NoC flit): that is a long wait,
-        // not a deadlock. Re-arm the watchdog; the verdict only fires once
-        // every wake oracle reports kNever.
-        last_activity_cycle_ = cycle_;
-      } else {
-        MP3D_WARN("deadlock: " << deadlock_diagnostic());
-        return finish(false, true, false, max_cycles);
-      }
+    if (watchdog_.deadlocked(activity_, cycle_, [this] { return next_wake_event(); })) {
+      MP3D_WARN("deadlock: " << deadlock_diagnostic());
+      return finish(false, true, false);
     }
   }
-  return finish(false, false, true, max_cycles);
+  return finish(false, false, true);
 }
 
 }  // namespace mp3d::arch

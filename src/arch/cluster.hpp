@@ -32,8 +32,8 @@
 #include "arch/params.hpp"
 #include "isa/program.hpp"
 #include "sim/counters.hpp"
-#include "sim/stepped.hpp"
 #include "sim/types.hpp"
+#include "sim/watchdog.hpp"
 
 namespace mp3d::obs {
 class Telemetry;
@@ -126,9 +126,7 @@ struct RunResult {
   bool ok() const { return eoc && !deadlock && exit_code == 0; }
 };
 
-class Cluster final : public MemIssueSink,
-                      public DmaSpmPort,
-                      public sim::SteppedComponent {
+class Cluster final : public MemIssueSink, public DmaSpmPort {
  public:
   explicit Cluster(ClusterConfig cfg);
   ~Cluster() override;
@@ -139,11 +137,6 @@ class Cluster final : public MemIssueSink,
   const ClusterConfig& config() const { return cfg_; }
   const AddrMap& addr_map() const { return map_; }
 
-  /// No activity for this many cycles (with every wake oracle reporting
-  /// kNever) is a deadlock verdict — shared by Cluster::run and the
-  /// system-level driver so both watchdogs agree cycle-for-cycle.
-  static constexpr u64 kDeadlockWindow = 20000;
-
   /// Load a program image: code/data into global memory or SPM by address,
   /// reset all cores to the entry point, clear caches and statistics.
   void load_program(const isa::Program& program);
@@ -151,7 +144,8 @@ class Cluster final : public MemIssueSink,
   /// Run until EOC / all cores halted / deadlock / `max_cycles`.
   RunResult run(u64 max_cycles);
 
-  /// Single-step one cycle (exposed for tests and interactive tools).
+  /// Advance one cycle through the full phase order. Cluster::run and
+  /// sys::System::run_jobs both drive the cluster through this.
   void step();
   sim::Cycle now() const { return cycle_; }
 
@@ -214,9 +208,9 @@ class Cluster final : public MemIssueSink,
   u64 fast_forwarded_cycles() const { return ff_skipped_cycles_; }
 
   // ---- run-loop machinery (shared with the system-level driver) -------------
-  // sys::System::run drives N clusters with the same phase ordering,
-  // fast-forward jump logic and deadlock watchdog as Cluster::run; these
-  // are the pieces both loops are built from.
+  // sys::System::run_jobs drives N clusters through step() with the same
+  // fast-forward jump and the same sim::Watchdog as Cluster::run; these
+  // are the cluster-side pieces both loops are built from.
 
   /// A core wrote the EOC register (the run's natural end).
   bool eoc_signaled() const { return eoc_; }
@@ -243,26 +237,18 @@ class Cluster final : public MemIssueSink,
   /// Assemble the RunResult, close trace spans, sample the final partial
   /// telemetry window and deposit the run with the obs collector. The
   /// driver calls this exactly once per run, at the cycle the run ends.
-  RunResult finish(bool eoc, bool deadlock, bool hit_max, u64 max_cycles);
+  RunResult finish(bool eoc, bool deadlock, bool hit_max);
   /// Human-readable per-core stall summary for deadlock reports.
   std::string deadlock_diagnostic() const;
 
-  // ---- sim::SteppedComponent -------------------------------------------------
-  /// One cycle through the full phase order (identical to step(); `now` is
-  /// the cycle being entered, i.e. now() + 1).
-  void step_component(sim::Cycle now) override;
-  /// Earliest future cycle with observable work: now() + 1 while any core
-  /// is runnable, otherwise the uncapped fast-forward oracle.
-  sim::Cycle next_event_cycle(sim::Cycle now) const override;
   /// Rewind the loaded program to its initial state: reset every core to
   /// the entry point, flush caches, drop queued traffic and zero the
   /// statistics (memory contents persist — reloading inputs is the kernel
   /// init hook's job, exactly as for load_program).
-  void reset_run_state() override;
-  void add_counters(sim::CounterSet& counters) const override {
-    collect_counters(counters);
-  }
-  u64 activity() const override { return activity_; }
+  void reset_run_state();
+  /// Monotone progress witness: strictly increases whenever the cluster
+  /// does observable work (the watchdog's input).
+  u64 activity() const { return activity_; }
 
   // ---- DmaSpmPort (dedicated wide SPM port of the DMA engines) --------------
   u32 dma_read_spm(u32 addr) override;
@@ -286,8 +272,8 @@ class Cluster final : public MemIssueSink,
   void sample_window();
   /// With every core asleep, jump cycle_ to one cycle before the earliest
   /// pending event (DMA completion, gmem drain, NoC pipe, ctrl/bank work,
-  /// qos window, telemetry sample, prof stride, deadlock verdict,
-  /// max_cycles), charging skipped cycles exactly as if each had ticked.
+  /// qos window, telemetry sample, prof stride, watchdog horizon),
+  /// charging skipped cycles exactly as if each had ticked.
   void maybe_fast_forward(u64 max_cycles);
 
   ClusterConfig cfg_;
@@ -370,8 +356,7 @@ class Cluster final : public MemIssueSink,
 
   // Progress tracking for deadlock detection.
   u64 activity_ = 0;
-  u64 last_activity_value_ = 0;
-  sim::Cycle last_activity_cycle_ = 0;
+  sim::Watchdog watchdog_;
 
   // ---- occupancy + idle-cycle fast-forward ---------------------------------
   // O(1) occupancy counts, updated by the MemIssueSink transition hooks

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "arch/dma.hpp"
-#include "sim/stepped.hpp"
+#include "sim/counters.hpp"
 #include "sys/icn.hpp"
 #include "sys/params.hpp"
 
@@ -42,7 +42,7 @@ struct C2cDescriptor {
   u64 ticket = 0;    ///< per-engine sequential id (assigned at push)
 };
 
-class SysDma final : public sim::SteppedComponent {
+class SysDma final {
  public:
   SysDma(const SysDmaConfig& cfg, ClusterIcn& icn,
          std::vector<arch::GlobalMemory*> shards);
@@ -67,12 +67,17 @@ class SysDma final : public sim::SteppedComponent {
     step_rr_ = n == 0 ? 0 : static_cast<u32>((step_rr_ + span % n) % n);
   }
 
-  // ---- sim::SteppedComponent -----------------------------------------------
-  void step_component(sim::Cycle now) override;
-  sim::Cycle next_event_cycle(sim::Cycle now) const override;
-  void reset_run_state() override;
-  void add_counters(sim::CounterSet& counters) const override;
-  u64 activity() const override { return bytes_moved_ + descriptors_completed_; }
+  /// Advance every engine one cycle (`now` is the cycle being entered).
+  void step(sim::Cycle now);
+  /// Earliest future cycle with observable work: `now + 1` while any
+  /// engine has ungranted bytes, else the first wire completion (kNever
+  /// when drained).
+  sim::Cycle next_event_cycle(sim::Cycle now) const;
+  /// Drop queued and in-flight descriptors and zero the statistics.
+  void reset_run_state();
+  void add_counters(sim::CounterSet& counters) const;
+  /// Monotone progress witness (the system watchdog's input).
+  u64 activity() const { return bytes_moved_ + descriptors_completed_; }
 
  private:
   struct Completion {

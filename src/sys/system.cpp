@@ -64,8 +64,7 @@ void System::reset_run_state() {
   records_.clear();
   jobs_done_ = 0;
   home_slot_top_ = cfg_.cluster.gmem_base + cfg_.cluster.gmem_size;
-  last_activity_value_ = 0;
-  last_activity_cycle_ = 0;
+  watchdog_.reset();
 }
 
 u32 System::alloc_home_slot(u64 bytes) {
@@ -157,16 +156,16 @@ void System::dispatch_jobs(std::vector<JobSpec>& jobs) {
 }
 
 arch::RunResult System::labelled_finish(u32 k, bool eoc, bool deadlock,
-                                        bool hit_max, u64 max_cycles) {
+                                        bool hit_max) {
   if (num_clusters() == 1) {
     // Single-cluster back-compat: do not touch the collect label, so the
     // deposited timeline/trace bytes match a bare Cluster run exactly.
-    return clusters_[k]->finish(eoc, deadlock, hit_max, max_cycles);
+    return clusters_[k]->finish(eoc, deadlock, hit_max);
   }
   const std::string saved = obs::collect_label();
   const std::string mine = "c" + std::to_string(k);
   obs::set_collect_label(saved.empty() ? mine : saved + "." + mine);
-  arch::RunResult result = clusters_[k]->finish(eoc, deadlock, hit_max, max_cycles);
+  arch::RunResult result = clusters_[k]->finish(eoc, deadlock, hit_max);
   obs::set_collect_label(saved);
   return result;
 }
@@ -175,9 +174,7 @@ void System::finish_job(u32 k, const JobSpec& spec, bool eoc, bool deadlock,
                         bool hit_max) {
   Seat& seat = seats_[k];
   JobRecord& rec = records_[seat.job];
-  const u64 job_max =
-      seat.job_max_cycles > 0 ? seat.job_max_cycles : sim::kNever;
-  rec.result = labelled_finish(k, eoc, deadlock, hit_max, job_max);
+  rec.result = labelled_finish(k, eoc, deadlock, hit_max);
   rec.eoc_at = cycle_;
   if (eoc && spec.kernel.verify) {
     rec.verify_error = spec.kernel.verify(*clusters_[k], rec.result);
@@ -235,8 +232,7 @@ void System::maybe_fast_forward(u64 max_cycles) {
     return;
   }
   const sim::Cycle floor = cycle_ + 1;
-  sim::Cycle bound = std::min<sim::Cycle>(
-      max_cycles, last_activity_cycle_ + arch::Cluster::kDeadlockWindow);
+  sim::Cycle bound = watchdog_.horizon(max_cycles);
   for (u32 k = 0; k < num_clusters(); ++k) {
     const Seat& seat = seats_[k];
     if (seat.state == ClusterState::kRunning && seat.job_max_cycles > 0) {
@@ -269,9 +265,7 @@ void System::maybe_fast_forward(u64 max_cycles) {
   cycle_ += span;
 }
 
-SystemResult System::assemble_result(bool deadlock, bool hit_max,
-                                     u64 /*max_cycles*/,
-                                     std::vector<JobSpec>& /*jobs*/) {
+SystemResult System::assemble_result(bool deadlock, bool hit_max) {
   SystemResult result;
   result.cycles = cycle_;
   result.deadlock = deadlock;
@@ -317,7 +311,7 @@ SystemResult System::run_jobs(std::vector<JobSpec> jobs, u64 max_cycles) {
     dispatch_jobs(jobs);
     maybe_fast_forward(max_cycles);
     const sim::Cycle now = cycle_ + 1;
-    sdma_->step_component(now);
+    sdma_->step(now);
     // Staging transitions ride the same cycle their transfer retires in:
     // the system DMA steps before the clusters (mirroring the cluster's
     // gmem-before-cores phase order), so a landed input lets its cluster
@@ -336,7 +330,7 @@ SystemResult System::run_jobs(std::vector<JobSpec> jobs, u64 max_cycles) {
     }
     for (u32 k = 0; k < num_clusters(); ++k) {
       if (seats_[k].state == ClusterState::kRunning) {
-        clusters_[k]->step_component(now - seats_[k].offset);
+        clusters_[k]->step();
       }
     }
     ++cycle_;
@@ -356,30 +350,23 @@ SystemResult System::run_jobs(std::vector<JobSpec> jobs, u64 max_cycles) {
         finish_job(k, spec, false, false, true);
       }
     }
-    const u64 activity = aggregate_activity();
-    if (activity != last_activity_value_) {
-      last_activity_value_ = activity;
-      last_activity_cycle_ = cycle_;
-    } else if (cycle_ - last_activity_cycle_ >= arch::Cluster::kDeadlockWindow) {
-      if (next_wake_event() != sim::kNever) {
-        last_activity_cycle_ = cycle_;  // long wait, not a hang (see Cluster)
-      } else {
-        std::string diag;
-        for (u32 k = 0; k < num_clusters(); ++k) {
-          if (seats_[k].state == ClusterState::kRunning) {
-            diag = "cluster " + std::to_string(k) + ": " +
-                   clusters_[k]->deadlock_diagnostic();
-            break;
-          }
+    if (watchdog_.deadlocked(aggregate_activity(), cycle_,
+                             [this] { return next_wake_event(); })) {
+      std::string diag;
+      for (u32 k = 0; k < num_clusters(); ++k) {
+        if (seats_[k].state == ClusterState::kRunning) {
+          diag = "cluster " + std::to_string(k) + ": " +
+                 clusters_[k]->deadlock_diagnostic();
+          break;
         }
-        MP3D_WARN("system deadlock: " << diag);
-        for (u32 k = 0; k < num_clusters(); ++k) {
-          if (seats_[k].state == ClusterState::kRunning) {
-            finish_job(k, jobs[seats_[k].job], false, true, false);
-          }
-        }
-        return assemble_result(true, false, max_cycles, jobs);
       }
+      MP3D_WARN("system deadlock: " << diag);
+      for (u32 k = 0; k < num_clusters(); ++k) {
+        if (seats_[k].state == ClusterState::kRunning) {
+          finish_job(k, jobs[seats_[k].job], false, true, false);
+        }
+      }
+      return assemble_result(true, false);
     }
   }
   if (!all_jobs_done()) {
@@ -388,9 +375,9 @@ SystemResult System::run_jobs(std::vector<JobSpec> jobs, u64 max_cycles) {
         finish_job(k, jobs[seats_[k].job], false, false, true);
       }
     }
-    return assemble_result(false, true, max_cycles, jobs);
+    return assemble_result(false, true);
   }
-  return assemble_result(false, false, max_cycles, jobs);
+  return assemble_result(false, false);
 }
 
 SystemResult System::run_kernel(const kernels::Kernel& kernel, u64 max_cycles,

@@ -2,7 +2,7 @@
 // The hierarchical multi-cluster System: N identical Clusters, each owning
 // one shard of the partitioned global memory, joined by the inter-cluster
 // interconnect (ClusterIcn) and cluster-to-cluster DMA (SysDma), driven by
-// one run loop through the shared sim::SteppedComponent interface.
+// one run loop that calls SysDma::step and Cluster::step directly.
 //
 // System::run_jobs shards independent jobs across the clusters:
 //
@@ -21,9 +21,9 @@
 // The loop reuses Cluster::run's machinery piece for piece — the same
 // phase ordering, the same idle-cycle fast-forward oracle (the jump is the
 // min over every running cluster's target plus the system DMA's next
-// event), and the same deadlock watchdog window — so a single-cluster
-// System run is bit-identical to a bare Cluster::run: same RunResult, same
-// counter names, same timeline and trace bytes.
+// event), and the same sim::Watchdog — so a single-cluster System run is
+// bit-identical to a bare Cluster::run: same RunResult, same counter
+// names, same timeline and trace bytes.
 //
 // Counter namespacing: at N == 1 the job's counters merge into
 // SystemResult::counters unprefixed (bare-cluster names); at N > 1 each
@@ -40,6 +40,7 @@
 
 #include "arch/cluster.hpp"
 #include "kernels/kernel.hpp"
+#include "sim/watchdog.hpp"
 #include "sys/icn.hpp"
 #include "sys/params.hpp"
 #include "sys/scheduler.hpp"
@@ -143,8 +144,7 @@ class System {
                   bool hit_max);
   /// Cluster k's finish(), with the telemetry collect label suffixed
   /// ".c<k>" at N > 1 so merged traces keep per-cluster pseudo-processes.
-  arch::RunResult labelled_finish(u32 k, bool eoc, bool deadlock, bool hit_max,
-                                  u64 max_cycles);
+  arch::RunResult labelled_finish(u32 k, bool eoc, bool deadlock, bool hit_max);
   bool all_jobs_done() const;
   u64 aggregate_activity() const;
   /// Earliest system cycle any component can make progress (the deadlock
@@ -152,8 +152,7 @@ class System {
   sim::Cycle next_wake_event() const;
   void maybe_fast_forward(u64 max_cycles);
   u32 alloc_home_slot(u64 bytes);
-  SystemResult assemble_result(bool deadlock, bool hit_max, u64 max_cycles,
-                               std::vector<JobSpec>& jobs);
+  SystemResult assemble_result(bool deadlock, bool hit_max);
 
   SystemConfig cfg_;
   std::vector<std::unique_ptr<arch::Cluster>> clusters_;
@@ -172,9 +171,8 @@ class System {
   // the home cluster's gmem window (kernel code/data grow from the bottom).
   u64 home_slot_top_ = 0;
 
-  // Deadlock watchdog (same window as Cluster::run, on aggregate activity).
-  u64 last_activity_value_ = 0;
-  sim::Cycle last_activity_cycle_ = 0;
+  // Deadlock watchdog (the same rule as Cluster::run, on aggregate activity).
+  sim::Watchdog watchdog_;
 };
 
 }  // namespace mp3d::sys

@@ -172,6 +172,37 @@ TEST(CounterReset, BackToBackDmaMatmulRunsIdentical) {
   EXPECT_GT(first.counters.get("icache.misses"), 0U);
 }
 
+TEST(CounterReset, ResetRunStateRewindsToAnIdenticalRerun) {
+  // Without reloading the program, reset_run_state rewinds the cluster to
+  // the loaded image: the rerun reaches eoc on the same cycle with the
+  // same counters.
+  ClusterConfig cfg = ClusterConfig::tiny();
+  Cluster cluster(cfg);
+  const std::string src = mp3d::testing::ctrl_prelude(cfg) + R"(
+.text 0x80000000
+_start:
+    csrr t0, mhartid
+    bnez t0, park
+    li a0, 3
+    li t0, EOC
+    sw a0, 0(t0)
+park:
+    wfi
+    j park
+)";
+  const RunResult first = mp3d::testing::run_asm(cluster, src);
+  ASSERT_TRUE(first.eoc);
+  EXPECT_EQ(first.exit_code, 3U);
+  EXPECT_EQ(first.counters.get("cycles"), first.cycles);
+  EXPECT_GT(first.counters.get("core.instret"), 0U);
+  cluster.reset_run_state();
+  EXPECT_EQ(cluster.now(), 0U);
+  EXPECT_FALSE(cluster.eoc_signaled());
+  const RunResult second = cluster.run(2'000'000);
+  ASSERT_TRUE(second.eoc);
+  expect_identical_counters(first, second);
+}
+
 TEST(CounterReset, StatsDoNotLeakAcrossDifferentPrograms) {
   // A heavy first run must leave no residue in a trivial second run.
   ClusterConfig cfg = ClusterConfig::mini();

@@ -62,6 +62,9 @@ TEST(FastForwardSources, GmemQueuedWorkForcesTick) {
   // Un-served queue entries must be ticked through (service order, stall
   // verdicts, and trace spans are decided cycle by cycle).
   EXPECT_EQ(g.next_completion_cycle(5), 6U);
+  // Resetting between runs drops the queued request with its event.
+  g.reset_run_state();
+  EXPECT_EQ(g.next_completion_cycle(0), sim::kNever);
 }
 
 TEST(FastForwardSources, GmemInFlightReportsDoneAt) {
@@ -82,6 +85,9 @@ TEST(FastForwardSources, GmemInFlightReportsDoneAt) {
   EXPECT_TRUE(responses.empty());
   g.step(predicted, responses, refills);
   EXPECT_EQ(responses.size(), 1U);
+  sim::CounterSet counters;
+  g.add_counters(counters);
+  EXPECT_EQ(counters.get("gmem.requests"), 1U);
 }
 
 TEST(FastForwardSources, GmemRefillRidesTheSameQueue) {
@@ -176,6 +182,11 @@ TEST(FastForwardSources, NocNextEventCoversQueuesAndPipes) {
   EXPECT_EQ(next, 51 + cfg.local_net_pipe);
   noc.step_requests(next, [&](u32, arch::BankRequest&&) { ++delivered; });
   EXPECT_EQ(delivered, 1U);
+  EXPECT_EQ(noc.next_event_cycle(next), sim::kNever);
+
+  // Resetting between runs drops a flit still in its egress queue.
+  noc.push_request(0, 1, arch::BankRequest{req});
+  noc.reset_run_state();
   EXPECT_EQ(noc.next_event_cycle(next), sim::kNever);
 }
 

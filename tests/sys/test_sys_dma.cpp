@@ -40,7 +40,7 @@ struct Rig {
     sim::Cycle now = from;
     while (dma->retired(engine) < ticket) {
       ++now;
-      dma->step_component(now);
+      dma->step(now);
       EXPECT_LT(now, 100'000U);
     }
     return now;
@@ -79,6 +79,20 @@ TEST(SysDma, CompletionWaitsOutTheRouteLatency) {
   EXPECT_TRUE(rig.dma->idle());
 }
 
+TEST(SysDma, NextEventIsTheNextCycleOncePushed) {
+  Rig rig(4);
+  // Idle: no event of its own, and an idle step moves nothing.
+  EXPECT_EQ(rig.dma->next_event_cycle(5), sim::kNever);
+  rig.dma->step(1);
+  EXPECT_EQ(rig.dma->activity(), 0U);
+  sim::CounterSet counters;
+  rig.dma->add_counters(counters);
+  EXPECT_EQ(counters.get("sys.dma.bytes"), 0U);
+  // A pushed descriptor claims link bytes every cycle from the next one.
+  rig.dma->push(1, sys::C2cDescriptor{0, 1, kBase, kBase, 4, 0});
+  EXPECT_EQ(rig.dma->next_event_cycle(5), 6U);
+}
+
 TEST(SysDma, LocalCopyHasZeroWireLatency) {
   Rig rig(2);
   rig.shards[0]->write_word(kBase, 77);
@@ -101,7 +115,7 @@ TEST(SysDma, EnginesShareContendedPortsFairly) {
   sim::Cycle now = 0;
   while (rig.dma->retired(1) < t1 || rig.dma->retired(2) < t2) {
     ++now;
-    rig.dma->step_component(now);
+    rig.dma->step(now);
     ASSERT_LT(now, 10'000U);
   }
   // Perfect sharing: 1024 bytes through a 64 B/cycle ingress = 16 grant
@@ -141,7 +155,7 @@ TEST(SysDma, SkipCyclesKeepsTheServiceRotationBitExact) {
       now = kSpan;
     } else {
       for (; now < kSpan; ) {
-        rig.dma->step_component(++now);
+        rig.dma->step(++now);
       }
     }
     const u64 t1 =
@@ -150,7 +164,7 @@ TEST(SysDma, SkipCyclesKeepsTheServiceRotationBitExact) {
         2, sys::C2cDescriptor{2, 0, kBase, kBase + 0x2000, 256, 0});
     while (rig.dma->retired(1) < t1 || rig.dma->retired(2) < t2) {
       ++now;
-      rig.dma->step_component(now);
+      rig.dma->step(now);
     }
     return now;
   };
