@@ -1,7 +1,9 @@
 // SPDX-License-Identifier: Apache-2.0
 // gmem_qos sweep: the registered mixed-tenancy scenarios stay deterministic
-// under parallel execution (byte-identical CSV for any --jobs), and the
-// adaptive scenarios actually exercise the controller.
+// under parallel execution (byte-identical CSV for any --jobs), the
+// adaptive scenarios actually exercise the controller, and the soak driver
+// behind both gmem suites reproduces pinned golden results for flat and
+// bursty scalar loads.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,6 +11,7 @@
 #include "exp/row.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "exp/scenarios_gmem.hpp"
 #include "exp/scenarios_qos.hpp"
 
 namespace mp3d::exp {
@@ -63,6 +66,69 @@ TEST(QosSweep, AdaptiveScenariosActuallyAdjustTheShare) {
       EXPECT_EQ(report.metric(static_name, "adjustments"), 0.0) << static_name;
     }
   }
+}
+
+struct FlatGolden {
+  u32 bw, share, load;
+  u64 completed, bulk_bytes, bulk_stall_cycles;
+  double p50, p99;
+};
+
+TEST(SoakGolden, FlatLoadAgainstOneSaturatingBulkTenant) {
+  const FlatGolden goldens[] = {
+      {4, 0, 150, 19996, 0, 19999, 3336.5, 6602.05},
+      {16, 25, 67, 53589, 105600, 0, 4.0, 4.0},
+      {64, 50, 45, 143971, 704000, 0, 4.0, 4.0},
+  };
+  for (const FlatGolden& g : goldens) {
+    GmemSoakParams p;
+    p.bytes_per_cycle = g.bw;
+    p.bulk_min_pct = g.share;
+    p.scalar_load_pct = g.load;
+    p.cycles = 20000;
+    const GmemSoakResult r = run_gmem_soak(p);
+    const std::string at = "bw=" + std::to_string(g.bw) +
+                           " share=" + std::to_string(g.share) +
+                           " load=" + std::to_string(g.load);
+    EXPECT_EQ(r.scalar_completed, g.completed) << at;
+    EXPECT_EQ(r.bulk_bytes, g.bulk_bytes) << at;
+    EXPECT_EQ(r.bulk_stall_cycles, g.bulk_stall_cycles) << at;
+    EXPECT_DOUBLE_EQ(r.scalar_p50, g.p50) << at;
+    EXPECT_DOUBLE_EQ(r.scalar_p99, g.p99) << at;
+  }
+}
+
+/// The gmem_qos scenario shape at 16 B/cycle, burst load 180 %, 8 periods.
+QosSoakResult burst_soak(bool adaptive) {
+  QosSoakParams p;
+  p.bytes_per_cycle = 16;
+  p.burst_load_pct = 180;
+  p.cycles = static_cast<u64>(p.burst_period) * 8;
+  if (adaptive) {
+    p.qos = qos_soak_controller();
+    p.bulk_min_pct = p.qos.min_pct;
+  } else {
+    p.bulk_min_pct = 25;
+  }
+  return run_qos_soak(p);
+}
+
+TEST(SoakGolden, BurstLoadAtStaticShare) {
+  const auto r = burst_soak(/*adaptive=*/false);
+  EXPECT_DOUBLE_EQ(r.scalar_p50, 264.0);
+  EXPECT_DOUBLE_EQ(r.scalar_p99, 711.0);
+  EXPECT_EQ(r.bulk_bytes, 360448U);
+  EXPECT_EQ(r.scalar_backlog_end, 2U);
+  EXPECT_EQ(r.adjustments, 0U);
+}
+
+TEST(SoakGolden, BurstLoadUnderTheAdaptiveController) {
+  const auto r = burst_soak(/*adaptive=*/true);
+  EXPECT_DOUBLE_EQ(r.scalar_p50, 159.0);
+  EXPECT_DOUBLE_EQ(r.scalar_p99, 426.0);
+  EXPECT_EQ(r.bulk_stall_cycles, 7253U);
+  EXPECT_NEAR(r.share_avg_pct, 30.3547, 5e-5);
+  EXPECT_EQ(r.adjustments, 79U);
 }
 
 }  // namespace
