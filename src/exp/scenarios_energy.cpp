@@ -34,7 +34,7 @@ u32 scaled_matmul_tile(u64 capacity, bool smoke) {
   return t;
 }
 
-Scenario make_energy_capacity_scenario(u64 capacity, bool smoke, EnergyFigure figure) {
+Scenario make_energy_capacity_scenario(u64 capacity, bool smoke) {
   Scenario scenario;
   scenario.name = energy_scenario_name(capacity);
   const u32 t = scaled_matmul_tile(capacity, smoke);
@@ -42,7 +42,7 @@ Scenario make_energy_capacity_scenario(u64 capacity, bool smoke, EnergyFigure fi
                          std::to_string(2 * t) + " on the " +
                          std::to_string(capacity / MiB(1)) +
                          " MiB cluster, costed under the 2D and 3D operating points";
-  scenario.run = [capacity, t, figure]() {
+  scenario.run = [capacity, t]() {
     arch::ClusterConfig cfg = arch::ClusterConfig::mempool(capacity);
     cfg.gmem_bytes_per_cycle = 16;  // the paper's representative DDR channel
     cfg.validate();
@@ -116,26 +116,20 @@ Scenario make_energy_capacity_scenario(u64 capacity, bool smoke, EnergyFigure fi
           .cell("m", static_cast<u64>(mp.m))
           .cell("cycles", result.cycles)
           .cell("freq_ghz", r->freq_ghz, 4)
-          .cell("runtime_us", r->runtime_ns * 1e-3, 4);
-      if (figure == EnergyFigure::kFig8Energy) {
-        row.cell("cluster_uj", r->cluster_nj() * 1e-3, 4)
-            .cell("total_uj", r->total_nj() * 1e-3, 4)
-            .cell("power_mw", r->avg_power_mw(), 1);
-        if (is_3d) {
-          row.cell("gain_3d_over_2d_sim", sim_eff, 4)
-              .cell("gain_3d_over_2d_model", model_eff, 4)
-              .cell("gain_3d_over_2d_paper", paper_eff, 4)
-              .cell("cross_check_err_pp", std::abs(sim_eff - model_eff) * 100, 2);
-        }
-      } else {
-        row.cell("cluster_uj", r->cluster_nj() * 1e-3, 4)
-            .cell("edp_cluster_nj_us", r->cluster_edp_nj_us(), 4);
-        if (is_3d) {
-          row.cell("var_3d_over_2d_sim", sim_edp, 4)
-              .cell("var_3d_over_2d_model", model_edp, 4)
-              .cell("var_3d_over_2d_paper", paper_edp, 4)
-              .cell("cross_check_err_pp", std::abs(sim_edp - model_edp) * 100, 2);
-        }
+          .cell("runtime_us", r->runtime_ns * 1e-3, 4)
+          .cell("cluster_uj", r->cluster_nj() * 1e-3, 4)
+          .cell("total_uj", r->total_nj() * 1e-3, 4)
+          .cell("power_mw", r->avg_power_mw(), 1)
+          .cell("edp_cluster_nj_us", r->cluster_edp_nj_us(), 4);
+      if (is_3d) {
+        row.cell("gain_3d_over_2d_sim", sim_eff, 4)
+            .cell("gain_3d_over_2d_model", model_eff, 4)
+            .cell("gain_3d_over_2d_paper", paper_eff, 4)
+            .cell("gain_cross_check_err_pp", std::abs(sim_eff - model_eff) * 100, 2)
+            .cell("var_3d_over_2d_sim", sim_edp, 4)
+            .cell("var_3d_over_2d_model", model_edp, 4)
+            .cell("var_3d_over_2d_paper", paper_edp, 4)
+            .cell("var_cross_check_err_pp", std::abs(sim_edp - model_edp) * 100, 2);
       }
       out.row(std::move(row));
     }
@@ -144,9 +138,9 @@ Scenario make_energy_capacity_scenario(u64 capacity, bool smoke, EnergyFigure fi
   return scenario;
 }
 
-void register_energy_scenarios(Registry& registry, bool smoke, EnergyFigure figure) {
+void register_energy_scenarios(Registry& registry, bool smoke) {
   for (const u64 capacity : paper_capacities()) {
-    registry.add(make_energy_capacity_scenario(capacity, smoke, figure));
+    registry.add(make_energy_capacity_scenario(capacity, smoke));
   }
 }
 

@@ -15,7 +15,7 @@
 //
 // The simulation-derived 3D-over-2D gains are cross-checked against the
 // analytical CoExplorer curves at every capacity; the measured error is
-// ~1 pp (see bench/fig8_energy), gated at the documented
+// ~1 pp (see bench/fig8_fig9_energy), gated at the documented
 // core::kEnergyCrossCheckTolerance (5 pp).
 #pragma once
 
@@ -33,10 +33,6 @@ std::string energy_scenario_name(u64 capacity);
 /// The scaled matmul tile dimension simulated at `capacity`.
 u32 scaled_matmul_tile(u64 capacity, bool smoke);
 
-/// Which figure's result rows the scenario should emit; the metrics are
-/// identical either way (fig8 and fig9 are two views of the same sweep).
-enum class EnergyFigure { kFig8Energy, kFig9Edp };
-
 /// Build the scenario for one capacity point. Metrics set by the run:
 ///   t, m, macs, cycles,
 ///   freq_2d_ghz / freq_3d_ghz, runtime_us_2d / runtime_us_3d,
@@ -44,9 +40,11 @@ enum class EnergyFigure { kFig8Energy, kFig9Edp };
 ///   edp_cluster_2d / edp_cluster_3d           [nJ*us, on-die]
 ///   gain_eff_3d2d_sim / _model / _paper       [3D-over-2D efficiency]
 ///   var_edp_3d2d_sim / _model / _paper        [3D-over-2D EDP]
-Scenario make_energy_capacity_scenario(u64 capacity, bool smoke, EnergyFigure figure);
+/// and one result row per flow carrying both figures' columns (Fig. 8
+/// energy, Fig. 9 EDP: two views of the same sweep).
+Scenario make_energy_capacity_scenario(u64 capacity, bool smoke);
 
 /// Register all four capacity points.
-void register_energy_scenarios(Registry& registry, bool smoke, EnergyFigure figure);
+void register_energy_scenarios(Registry& registry, bool smoke);
 
 }  // namespace mp3d::exp

@@ -12,6 +12,7 @@
 #include "kernels/simple_kernels.hpp"
 #include "obs/collector.hpp"
 #include "obs/telemetry.hpp"
+#include "qos/adaptive_share.hpp"
 
 namespace mp3d::exp {
 
@@ -21,6 +22,10 @@ GmemSoakResult run_gmem_soak(const GmemSoakParams& params) {
   arb.deficit_cap_cycles = params.deficit_cap_cycles;
   arch::GlobalMemory gmem(0x8000'0000u, MiB(1), params.bytes_per_cycle,
                           params.latency, arb);
+  std::unique_ptr<qos::AdaptiveShareController> controller;
+  if (params.qos.enabled) {
+    controller = std::make_unique<qos::AdaptiveShareController>(params.qos, gmem);
+  }
 
   arch::TelemetryConfig tcfg = params.telemetry;
   if (!tcfg.enabled() && obs::global_request_active()) {
@@ -35,6 +40,9 @@ GmemSoakResult run_gmem_soak(const GmemSoakParams& params) {
       const u32 bulk = trace->add_track("gmem", 0, "bulk", 0);
       const u32 scalar = trace->add_track("gmem", 0, "scalar", 1);
       gmem.set_trace(trace, bulk, scalar);
+      if (controller != nullptr) {
+        controller->set_trace(trace, trace->add_track("gmem", 0, "qos", 2));
+      }
     }
   }
   u64 next_sample = timeline != nullptr ? tcfg.sample_window : sim::kNever;
@@ -49,23 +57,52 @@ GmemSoakResult run_gmem_soak(const GmemSoakParams& params) {
   const auto sample_window = [&](u64 cycle) {
     sim::CounterSet totals;
     gmem.add_counters(totals);
+    if (controller != nullptr) {
+      controller->add_counters(totals);
+    }
     totals.set("cycles", cycle);
     std::vector<std::pair<std::string, double>> gauges;
     gauges.emplace_back("scalar_p50", percentile(window_latencies, 0.50));
     gauges.emplace_back("scalar_p99", percentile(window_latencies, 0.99));
     gauges.emplace_back("scalar_inflight",
                         static_cast<double>(issue_cycles.size()));
+    gauges.emplace_back("bulk_share_pct",
+                        static_cast<double>(gmem.arbiter().bulk_min_pct));
     timeline->sample(cycle, totals, std::move(gauges));
     window_latencies.clear();
   };
 
-  // The scalar generator accrues offered bytes in hundredths so fractional
-  // per-cycle loads (e.g. 90 % of 2 B/cycle) stream without rounding drift.
+  // Both tenant classes accrue offered bytes in hundredths so fractional
+  // per-cycle rates (e.g. 90 % of 2 B/cycle) stream without rounding drift.
+  // The scalar tenant issues a word request per 4 whole bytes.
+  const u32 bpc = params.bytes_per_cycle;
+  const u64 flat_x100 = static_cast<u64>(bpc) * params.scalar_load_pct;
+  const u64 burst_x100 = static_cast<u64>(bpc) * params.burst_load_pct;
   u64 scalar_acc_x100 = 0;
+  u32 burst_phase = 0;  ///< (cycle - 1) % burst_period
+  // The channel sees only the bulk tenants' total backlog: its demand is
+  // the whole bytes queued over all tenants, and every granted byte drains
+  // it. Each tenant still queues whole bytes only, carrying its own
+  // hundredths until they make a byte.
+  u64 bulk_rate = 0;           ///< whole bytes all tenants offer per cycle
+  std::vector<u32> frac_rate;  ///< per-tenant hundredths per cycle (nonzero)
+  for (const u32 pct : params.bulk_rates_pct) {
+    const u64 x100 = static_cast<u64>(bpc) * pct;
+    bulk_rate += x100 / 100;
+    if (x100 % 100 != 0) {
+      frac_rate.push_back(static_cast<u32>(x100 % 100));
+    }
+  }
+  std::vector<u32> frac_acc(frac_rate.size(), 0);
+  u64 bulk_backlog = 0;
+  u64 share_acc = 0;  ///< live share summed per cycle
   u32 next_addr = 0;
   for (u64 cycle = 1; cycle <= params.cycles; ++cycle) {
     scalar_acc_x100 +=
-        static_cast<u64>(params.bytes_per_cycle) * params.scalar_load_pct;
+        burst_phase < params.burst_cycles ? burst_x100 : flat_x100;
+    if (++burst_phase == params.burst_period) {
+      burst_phase = 0;
+    }
     while (scalar_acc_x100 >= 400) {  // one word request = 4 B = 400 x100
       scalar_acc_x100 -= 400;
       arch::MemRequest req;
@@ -75,21 +112,37 @@ GmemSoakResult run_gmem_soak(const GmemSoakParams& params) {
       gmem.enqueue(req, cycle);
       issue_cycles.push_back(cycle);
     }
+    bulk_backlog += bulk_rate;
+    for (std::size_t i = 0; i < frac_rate.size(); ++i) {
+      frac_acc[i] += frac_rate[i];
+      if (frac_acc[i] >= 100) {
+        frac_acc[i] -= 100;
+        ++bulk_backlog;
+      }
+    }
+
     responses.clear();
     refills.clear();
-    const u64 demand = params.bulk_active ? (u64{1} << 30) : 0;
-    gmem.step(cycle, responses, refills, demand);
+    gmem.step(cycle, responses, refills, bulk_backlog);
     for (std::size_t i = 0; i < responses.size(); ++i) {
       const u64 latency = cycle - issue_cycles.front();
       latencies.push_back(latency);
+      if (controller != nullptr) {
+        controller->observe_scalar_latency(latency);
+      }
       if (timeline != nullptr) {
         window_latencies.push_back(latency);
       }
       issue_cycles.pop_front();
     }
-    if (params.bulk_active) {
-      gmem.claim_bulk(params.bytes_per_cycle, cycle);
+
+    bulk_backlog -= gmem.claim_bulk(
+        static_cast<u32>(std::min<u64>(bulk_backlog, bpc)), cycle);
+
+    if (controller != nullptr) {
+      controller->step(cycle);
     }
+    share_acc += gmem.arbiter().bulk_min_pct;
     if (cycle >= next_sample) {
       sample_window(cycle);
       next_sample += tcfg.sample_window;
@@ -108,14 +161,19 @@ GmemSoakResult run_gmem_soak(const GmemSoakParams& params) {
   sim::CounterSet counters;
   gmem.add_counters(counters);
   result.scalar_completed = latencies.size();
+  result.scalar_backlog_end = issue_cycles.size();
   result.scalar_bytes = gmem.scalar_bytes();
   result.bulk_bytes = gmem.bulk_bytes();
   result.bulk_stall_cycles = counters.get("gmem.bulk_stall_cycles");
   result.scalar_p50 = percentile(latencies, 0.50);
   result.scalar_p99 = percentile(latencies, 0.99);
-  result.bulk_share =
-      static_cast<double>(result.bulk_bytes) /
-      (static_cast<double>(params.cycles) * params.bytes_per_cycle);
+  const double channel_bytes = static_cast<double>(params.cycles) * bpc;
+  result.bulk_share = static_cast<double>(result.bulk_bytes) / channel_bytes;
+  result.channel_util =
+      static_cast<double>(gmem.bytes_transferred()) / channel_bytes;
+  result.share_avg_pct =
+      static_cast<double>(share_acc) / static_cast<double>(params.cycles);
+  result.adjustments = controller != nullptr ? controller->adjustments() : 0;
   return result;
 }
 

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "arch/params.hpp"
 #include "common/units.hpp"
@@ -32,14 +33,34 @@ class Telemetry;
 
 namespace mp3d::exp {
 
-/// Synthetic channel soak on a standalone GlobalMemory.
+/// Synthetic channel soak on a standalone GlobalMemory: a scalar word
+/// stream (flat, or duty-cycled into bursts) against streaming bulk
+/// tenants, under a static bulk share or the adaptive share controller.
+/// Both gmem suites run it: gmem_arbiter with a flat load against one
+/// always-hungry tenant, gmem_qos with bursts against two tenants.
 struct GmemSoakParams {
   u32 bytes_per_cycle = 4;
   u32 latency = 4;
-  u32 bulk_min_pct = 0;        ///< GmemArbiterConfig::bulk_min_pct
+  /// GmemArbiterConfig::bulk_min_pct: the fixed share, or the adaptive
+  /// controller's initial share (clamped into its bounds).
+  u32 bulk_min_pct = 0;
   u32 deficit_cap_cycles = 8;  ///< GmemArbiterConfig::deficit_cap_cycles
-  u32 scalar_load_pct = 100;   ///< offered scalar load, % of channel bytes
-  bool bulk_active = true;     ///< an always-hungry bulk claimant
+
+  // Scalar tenant. Loads are percent of the channel's byte rate; the first
+  // `burst_cycles` of every `burst_period` offer `burst_load_pct`, the
+  // rest `scalar_load_pct` (burst_cycles = 0: a flat load).
+  u32 scalar_load_pct = 100;
+  u32 burst_period = 4096;
+  u32 burst_cycles = 0;
+  u32 burst_load_pct = 180;
+
+  /// Streaming bulk tenants, one offered rate each (percent of channel),
+  /// served round-robin. A 100 % tenant is always hungry: its backlog
+  /// never falls below one cycle of channel bytes.
+  std::vector<u32> bulk_rates_pct{100};
+  /// When `qos.enabled`, an AdaptiveShareController governs the share.
+  arch::AdaptiveShareConfig qos;
+
   u64 cycles = 20000;
   /// Optional telemetry: windowed counter sampling and/or arbiter event
   /// tracing on the standalone GlobalMemory. When disabled here, an
@@ -48,22 +69,24 @@ struct GmemSoakParams {
 };
 
 struct GmemSoakResult {
-  u64 scalar_completed = 0;  ///< scalar responses received
+  u64 scalar_completed = 0;    ///< scalar responses received
+  u64 scalar_backlog_end = 0;  ///< scalar requests still queued at the end
   u64 scalar_bytes = 0;
   u64 bulk_bytes = 0;
   u64 bulk_stall_cycles = 0;
-  double scalar_p50 = 0.0;   ///< median enqueue-to-response latency [cycles]
+  double scalar_p50 = 0.0;     ///< median enqueue-to-response latency [cycles]
   double scalar_p99 = 0.0;
-  double bulk_share = 0.0;   ///< bulk bytes / (cycles x channel rate)
+  double bulk_share = 0.0;     ///< bulk bytes / (cycles x channel rate)
+  double channel_util = 0.0;   ///< all bytes / (cycles x channel rate)
+  double share_avg_pct = 0.0;  ///< cycle-weighted average live share
+  u64 adjustments = 0;         ///< controller share changes (0 for static)
   /// Collected telemetry (null when disabled). Windows carry the gmem
-  /// counter deltas plus per-window scalar latency p50/p99 and queue
-  /// depth gauges.
+  /// (and qos) counter deltas plus per-window scalar latency p50/p99,
+  /// queue depth and live share gauges.
   std::shared_ptr<obs::Telemetry> telemetry;
 };
 
-/// Run the soak: a deterministic scalar word stream at the configured
-/// offered load, stepped cycle-by-cycle against a bulk claimant with
-/// unbounded demand (when active) claiming up to the full channel width.
+/// Run the soak cycle by cycle. Deterministic (pure integer state).
 GmemSoakResult run_gmem_soak(const GmemSoakParams& params);
 
 // ---- suite axes (shared by scenario registration and the bench gates) ----

@@ -53,7 +53,7 @@ struct CliOptions {
 };
 
 struct Suite {
-  std::string name;   ///< output file stem, e.g. "fig8_energy"
+  std::string name;   ///< output file stem, e.g. "fig8_fig9_energy"
   std::string title;  ///< printed above the report
   Registry registry;
 

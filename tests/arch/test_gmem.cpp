@@ -171,10 +171,11 @@ namespace {
 /// Drive `cycles` of a scalar-saturated channel (two queued word loads per
 /// cycle at 4 B/cycle) against an always-hungry bulk claimant; returns the
 /// bulk bytes granted. A deliberately minimal mirror of the step/claim
-/// protocol exp::run_gmem_soak (src/exp/scenarios_gmem.cpp) sweeps at
-/// scale — kept separate so these unit tests pin the raw GlobalMemory
-/// contract (exact per-counter values) with no exp-layer in between; a
-/// change to the demand/claim call order must update both drivers.
+/// protocol of exp::run_gmem_soak (src/exp/scenarios_gmem.cpp), the one
+/// soak loop behind both gmem suites — kept separate so these unit tests
+/// pin the raw GlobalMemory contract (exact per-counter values) with no
+/// exp layer in between; a change to the demand/claim call order must
+/// update both.
 u64 run_saturated(GlobalMemory& g, u64 cycles, sim::Cycle start = 0) {
   std::vector<MemResponse> responses;
   std::vector<u32> refills;

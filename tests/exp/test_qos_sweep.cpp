@@ -1,7 +1,7 @@
 // SPDX-License-Identifier: Apache-2.0
 // gmem_qos sweep: the registered mixed-tenancy scenarios stay deterministic
 // under parallel execution (byte-identical CSV for any --jobs), the
-// adaptive scenarios actually exercise the controller, and the soak driver
+// adaptive scenarios actually exercise the controller, and the soak loop
 // behind both gmem suites reproduces pinned golden results for flat and
 // bursty scalar loads.
 #include <gtest/gtest.h>
@@ -99,22 +99,26 @@ TEST(SoakGolden, FlatLoadAgainstOneSaturatingBulkTenant) {
 }
 
 /// The gmem_qos scenario shape at 16 B/cycle, burst load 180 %, 8 periods.
-QosSoakResult burst_soak(bool adaptive) {
-  QosSoakParams p;
+GmemSoakResult burst_soak(bool adaptive) {
+  GmemSoakParams p;
   p.bytes_per_cycle = 16;
+  p.scalar_load_pct = 10;
+  p.burst_period = 4096;
+  p.burst_cycles = 512;
   p.burst_load_pct = 180;
-  p.cycles = static_cast<u64>(p.burst_period) * 8;
+  p.bulk_rates_pct = {90, 70};
+  p.cycles = 4096 * 8;
   if (adaptive) {
     p.qos = qos_soak_controller();
     p.bulk_min_pct = p.qos.min_pct;
   } else {
     p.bulk_min_pct = 25;
   }
-  return run_qos_soak(p);
+  return run_gmem_soak(p);
 }
 
 TEST(SoakGolden, BurstLoadAtStaticShare) {
-  const auto r = burst_soak(/*adaptive=*/false);
+  const GmemSoakResult r = burst_soak(/*adaptive=*/false);
   EXPECT_DOUBLE_EQ(r.scalar_p50, 264.0);
   EXPECT_DOUBLE_EQ(r.scalar_p99, 711.0);
   EXPECT_EQ(r.bulk_bytes, 360448U);
@@ -123,7 +127,7 @@ TEST(SoakGolden, BurstLoadAtStaticShare) {
 }
 
 TEST(SoakGolden, BurstLoadUnderTheAdaptiveController) {
-  const auto r = burst_soak(/*adaptive=*/true);
+  const GmemSoakResult r = burst_soak(/*adaptive=*/true);
   EXPECT_DOUBLE_EQ(r.scalar_p50, 159.0);
   EXPECT_DOUBLE_EQ(r.scalar_p99, 426.0);
   EXPECT_EQ(r.bulk_stall_cycles, 7253U);
