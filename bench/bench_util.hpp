@@ -1,40 +1,17 @@
 // SPDX-License-Identifier: Apache-2.0
 // Shared helpers for the table/figure regeneration benches. The benches
 // themselves run through the experiment engine (src/exp/suite.hpp), which
-// owns CSV/JSON output; what remains here are formatting helpers plus a
-// hard-failing save for ad-hoc CSV writers.
+// owns CSV/JSON output; what remains here are formatting helpers and the
+// sanitizer probe the wall-clock gates consult.
 #pragma once
 
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
-#include "common/csv.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "exp/suite.hpp"
 
 namespace mp3d::bench {
-
-/// Directory bench CSVs land in: $MP3D_BENCH_OUT if set, otherwise the
-/// directory of the running binary (the build tree — never the source
-/// tree, so generated data cannot end up committed), falling back to the
-/// working directory.
-inline std::string out_dir() { return exp::out_dir(); }
-
-/// Save CSV next to the binary (creating the directory if needed) and
-/// report where. An I/O failure is fatal: the error is printed and the
-/// process exits nonzero, so CI can never pass on empty artifacts.
-inline void save_csv(const CsvWriter& csv, const std::string& name) {
-  const std::string path = out_dir() + "/" + name + ".csv";
-  const std::string error = exp::write_text_file(path, csv.str());
-  if (!error.empty()) {
-    std::fprintf(stderr, "error: saving %s failed: %s\n", name.c_str(),
-                 error.c_str());
-    std::exit(1);
-  }
-  std::printf("[data written to %s]\n", path.c_str());
-}
 
 inline std::string cap_name(u64 capacity) {
   return std::to_string(capacity / (1024 * 1024)) + " MiB";

@@ -554,7 +554,7 @@ exp::Suite make_suite(const exp::CliOptions& options) {
     if (!g_have_profile) {
       return;
     }
-    const std::string dir = bench::out_dir();
+    const std::string dir = exp::out_dir();
     const std::string collapsed = dir + "/sim_speed_profile.collapsed";
     const std::string speedscope = dir + "/sim_speed_profile.speedscope.json";
     std::string err =

@@ -8,6 +8,7 @@
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
+#include "isa/disasm.hpp"
 #include "obs/collector.hpp"
 #include "obs/telemetry.hpp"
 #include "prof/profile.hpp"
@@ -432,10 +433,6 @@ void Cluster::serve_banks() {
 u32 Cluster::core_group(u16 core) const {
   return cores_[core].tile_id() / cfg_.tiles_per_group;
 }
-
-u32 Cluster::dma_read_spm(u32 addr) { return spm_read_word(addr); }
-
-void Cluster::dma_write_spm(u32 addr, u32 value) { spm_write_word(addr, value); }
 
 void Cluster::dma_wake_core(u32 core) {
   MP3D_ASSERT(core < cores_.size());  // validated at kDmaStart
@@ -908,19 +905,39 @@ sim::Cycle Cluster::next_wake_event() const {
 }
 
 std::string Cluster::deadlock_diagnostic() const {
-  std::ostringstream oss;
-  oss << "no progress for " << sim::Watchdog::kWindow << " cycles at cycle " << cycle_
-      << "\n";
-  u32 shown = 0;
-  for (const auto& core : cores_) {
-    if (shown >= 8) {
-      oss << "  ... (" << cores_.size() - shown << " more cores)\n";
-      break;
+  // A hang strands many cores on the same instruction, so one line per
+  // group stays readable at 256 cores. Cores at one (state, pc) that block
+  // on different causes get a line each; groups keep first-core order.
+  struct Group {
+    CoreState state;
+    u32 pc;
+    std::string cause;
+    u32 cores;
+  };
+  std::vector<Group> groups;
+  for (const SnitchCore& core : cores_) {
+    std::string cause = core.blocking_cause(cycle_);
+    auto it = std::find_if(groups.begin(), groups.end(), [&](const Group& g) {
+      return g.state == core.state() && g.pc == core.pc() && g.cause == cause;
+    });
+    if (it == groups.end()) {
+      groups.push_back(Group{core.state(), core.pc(), std::move(cause), 1});
+    } else {
+      ++it->cores;
     }
-    oss << "  core " << core.global_id() << ": state="
-        << static_cast<int>(core.state()) << " pc=0x" << std::hex << core.pc()
-        << std::dec << " outstanding=" << (core.lsu_idle() ? "no" : "yes") << "\n";
-    ++shown;
+  }
+  static constexpr const char* kStateNames[] = {"running", "wfi", "halted", "error"};
+  std::ostringstream oss;
+  oss << "cycle " << cycle_ << ", cores by state and pc:\n";
+  for (const Group& g : groups) {
+    const isa::Instr* instr = image_ == nullptr ? nullptr : image_->lookup(g.pc);
+    oss << "  " << g.cores << (g.cores == 1 ? " core " : " cores ")
+        << kStateNames[static_cast<int>(g.state)] << " at pc=0x" << std::hex << g.pc
+        << std::dec << ": " << (instr == nullptr ? "<no code>" : isa::disassemble(*instr, g.pc));
+    if (!g.cause.empty()) {
+      oss << " -- " << g.cause;
+    }
+    oss << "\n";
   }
   return oss.str();
 }
@@ -1018,7 +1035,8 @@ RunResult Cluster::run(u64 max_cycles) {
       return finish(false, false, false);
     }
     if (watchdog_.deadlocked(activity_, cycle_, [this] { return next_wake_event(); })) {
-      MP3D_WARN("deadlock: " << deadlock_diagnostic());
+      MP3D_WARN("deadlock: no progress for " << sim::Watchdog::kWindow << " cycles at "
+                                             << deadlock_diagnostic());
       return finish(false, true, false);
     }
   }

@@ -126,10 +126,10 @@ struct RunResult {
   bool ok() const { return eoc && !deadlock && exit_code == 0; }
 };
 
-class Cluster final : public MemIssueSink, public DmaSpmPort {
+class Cluster final {
  public:
   explicit Cluster(ClusterConfig cfg);
-  ~Cluster() override;
+  ~Cluster();
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -188,12 +188,22 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   /// source).
   void collect_counters(sim::CounterSet& counters) const;
 
-  // ---- MemIssueSink ----------------------------------------------------------
-  IssueResult issue_mem(const MemRequest& request) override;
-  void request_icache_refill(u32 tile, u32 pc) override;
-  void note_core_asleep(u16 core) override;
-  void note_core_awake(u16 core) override;
-  void note_core_halted(u16 core, bool was_awake) override;
+  // ---- core side (called by SnitchCore) ------------------------------------
+  /// Route one memory request (`row` decomposition happens inside); may
+  /// refuse with kPortBusy, and the core retries the next cycle.
+  IssueResult issue_mem(const MemRequest& request);
+  /// Begin an instruction-cache refill for tile `tile` covering `pc`.
+  void request_icache_refill(u32 tile, u32 pc);
+  // Occupancy transitions, so the cluster keeps an O(1) awake-core count
+  // and an active-core list instead of scanning every cycle. "Awake" means
+  // runnable: kRunning, or kWfi holding a wake token (it resumes on its
+  // next step). Transitions are rare (sleep/wake/halt).
+  /// Core entered token-less wfi (left the runnable set).
+  void note_core_asleep(u16 core);
+  /// A wake token reached a token-less sleeping core (runnable again).
+  void note_core_awake(u16 core);
+  /// Core halted (ecall) or faulted; `was_awake` = runnable just before.
+  void note_core_halted(u16 core, bool was_awake);
 
   /// Effective fast-forward setting (ClusterConfig::fast_forward, overridden
   /// by the MP3D_FAST_FORWARD environment variable at construction).
@@ -238,7 +248,9 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   /// telemetry window and deposit the run with the obs collector. The
   /// driver calls this exactly once per run, at the cycle the run ends.
   RunResult finish(bool eoc, bool deadlock, bool hit_max);
-  /// Human-readable per-core stall summary for deadlock reports.
+  /// Where the cores stand at the current cycle, for deadlock reports: one
+  /// line per (state, pc) group with its core count, the instruction at pc
+  /// and what blocks it (see SnitchCore::blocking_cause).
   std::string deadlock_diagnostic() const;
 
   /// Rewind the loaded program to its initial state: reset every core to
@@ -250,10 +262,15 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   /// does observable work (the watchdog's input).
   u64 activity() const { return activity_; }
 
-  // ---- DmaSpmPort (dedicated wide SPM port of the DMA engines) --------------
-  u32 dma_read_spm(u32 addr) override;
-  void dma_write_spm(u32 addr, u32 value) override;
-  void dma_wake_core(u32 core) override;
+  // ---- DMA side (called by DmaEngine) --------------------------------------
+  // Functional word access to the SPM banks: the engines own a dedicated
+  // wide SPM port, so data moves straight into the interleaved banks
+  // without traversing the core-side interconnect (also the host backdoor).
+  u32 spm_read_word(u32 addr) const;
+  void spm_write_word(u32 addr, u32 value);
+  /// A descriptor carrying waker id `core` finished (its completion-latency
+  /// window passed, i.e. the cycle its group's pending count drops).
+  void dma_wake_core(u32 core);
 
  private:
   void serve_banks();
@@ -262,9 +279,6 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   u32 core_group(u16 core) const;
   /// Validate and launch the staged descriptor; false = core was faulted.
   bool dma_start(const MemRequest& request);
-  // Functional word access to the SPM banks (host backdoor + DMA port).
-  u32 spm_read_word(u32 addr) const;
-  void spm_write_word(u32 addr, u32 value);
   void deliver_response_to_core(const MemResponse& response);
   void deliver_remote_request(u32 dst_tile, BankRequest&& request);
   void activate_bank(u32 global_bank);
@@ -359,7 +373,7 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   sim::Watchdog watchdog_;
 
   // ---- occupancy + idle-cycle fast-forward ---------------------------------
-  // O(1) occupancy counts, updated by the MemIssueSink transition hooks
+  // O(1) occupancy counts, updated by the cores' transition hooks
   // (note_core_asleep/awake/halted) instead of scanning every core.
   u32 awake_cores_ = 0;
   u32 halted_cores_ = 0;

@@ -3,8 +3,9 @@
 
 #include <algorithm>
 
+#include "arch/cluster.hpp"
 #include "common/assert.hpp"
-#include "isa/disasm.hpp"
+#include "isa/assembler.hpp"
 #include "obs/trace.hpp"
 
 namespace mp3d::arch {
@@ -21,8 +22,8 @@ SnitchCore::SnitchCore(const ClusterConfig& cfg, u16 global_id, u32 tile_id)
       global_id_(global_id),
       tile_id_(tile_id) {}
 
-void SnitchCore::attach(MemIssueSink* sink, TileICache* icache, const DecodedImage* image) {
-  sink_ = sink;
+void SnitchCore::attach(Cluster* cluster, TileICache* icache, const DecodedImage* image) {
+  cluster_ = cluster;
   icache_ = icache;
   image_ = image;
 }
@@ -67,27 +68,54 @@ void SnitchCore::deliver(const MemResponse& resp, sim::Cycle now) {
 }
 
 void SnitchCore::wake(sim::Cycle /*now*/) {
-  if (sink_ != nullptr && state_ == CoreState::kWfi && wake_tokens_ == 0) {
-    sink_->note_core_awake(global_id_);
+  if (state_ == CoreState::kWfi && wake_tokens_ == 0) {
+    cluster_->note_core_awake(global_id_);
   }
   wake_tokens_ = std::min(wake_tokens_ + 1, 1U);
 }
 
-bool SnitchCore::hazard(const Instr& in, sim::Cycle now) const {
+int SnitchCore::hazard_reg(const Instr& in, sim::Cycle now) const {
   if (isa::reads_rs1(in) && reg_ready_[in.rs1] > now) {
-    return true;
+    return in.rs1;
   }
   if (isa::reads_rs2(in) && reg_ready_[in.rs2] > now) {
-    return true;
+    return in.rs2;
   }
   // WAW on the destination and the p.mac accumulator input.
   if ((isa::writes_rd(in) || isa::reads_rd(in)) && reg_ready_[in.rd] > now) {
-    return true;
+    return in.rd;
   }
   if (isa::writes_rs1(in) && reg_ready_[in.rs1] > now) {
-    return true;
+    return in.rs1;
   }
-  return false;
+  return -1;
+}
+
+std::string SnitchCore::blocking_cause(sim::Cycle now) const {
+  std::string causes;
+  auto add = [&causes](const std::string& cause) {
+    causes += (causes.empty() ? "" : ", ") + cause;
+  };
+  if (state_ == CoreState::kWfi && wake_tokens_ == 0) {
+    add("wfi without a wake token");
+  }
+  const bool fetched = state_ == CoreState::kRunning && icache_->present(pc_);
+  if (state_ == CoreState::kRunning && !fetched) {
+    add("instruction fetch pending");
+  }
+  const Instr* in = fetched ? image_->lookup(pc_) : nullptr;
+  const int r = in == nullptr ? -1 : hazard_reg(*in, now);
+  if (r >= 0) {
+    const sim::Cycle ready = reg_ready_[static_cast<u32>(r)];
+    add(std::string("RAW on ") + isa::register_abi_name(static_cast<u32>(r)) +
+        (ready == sim::kNever ? " (load in flight)"
+                              : " (ready at cycle " + std::to_string(ready) + ")"));
+  }
+  if (outstanding_ > 0) {
+    add(std::to_string(outstanding_) + " LSU request" + (outstanding_ == 1 ? "" : "s") +
+        " outstanding");
+  }
+  return causes;
 }
 
 void SnitchCore::step(sim::Cycle now) {
@@ -114,7 +142,7 @@ void SnitchCore::step(sim::Cycle now) {
   if (!icache_->present(pc_)) {
     if (!icache_->miss_pending(pc_)) {
       icache_->count_miss();
-      sink_->request_icache_refill(tile_id_, pc_);
+      cluster_->request_icache_refill(tile_id_, pc_);
     }
     ++stall_fetch_;
     return;
@@ -130,7 +158,7 @@ void SnitchCore::step(sim::Cycle now) {
     return;
   }
   // ---- hazards ----------------------------------------------------------------
-  if (hazard(*instr, now)) {
+  if (hazard_reg(*instr, now) >= 0) {
     ++stall_raw_;
     return;
   }
@@ -194,7 +222,7 @@ bool SnitchCore::issue_memory_op(const Instr& in, sim::Cycle now) {
     req.wdata = regs_[in.rs2];
   }
 
-  const IssueResult result = sink_->issue_mem(req);
+  const IssueResult result = cluster_->issue_mem(req);
   if (result == IssueResult::kPortBusy) {
     ++stall_port_busy_;
     return false;
@@ -351,9 +379,7 @@ void SnitchCore::execute(const Instr& in, sim::Cycle now) {
       state_ = CoreState::kHalted;
       exit_code_ = regs_[10];
       ++instret_;
-      if (sink_ != nullptr) {
-        sink_->note_core_halted(global_id_, /*was_awake=*/true);
-      }
+      cluster_->note_core_halted(global_id_, /*was_awake=*/true);
       return;
     case Op::kEbreak:
       halt_error("ebreak executed at pc=0x" + std::to_string(pc_));
@@ -363,9 +389,7 @@ void SnitchCore::execute(const Instr& in, sim::Cycle now) {
         --wake_tokens_;
       } else {
         state_ = CoreState::kWfi;
-        if (sink_ != nullptr) {
-          sink_->note_core_asleep(global_id_);
-        }
+        cluster_->note_core_asleep(global_id_);
         if (trace_ != nullptr) {
           trace_->begin(track_, ev_wfi_, now);
         }
@@ -438,8 +462,8 @@ void SnitchCore::halt_error(const std::string& message) {
   state_ = CoreState::kError;
   error_ = message;
   exit_code_ = 0xDEAD;
-  if (sink_ != nullptr && !was_halted) {
-    sink_->note_core_halted(global_id_, was_awake);
+  if (!was_halted) {
+    cluster_->note_core_halted(global_id_, was_awake);
   }
 }
 

@@ -31,30 +31,7 @@ class Trace;
 
 namespace mp3d::arch {
 
-/// Memory-system hook the core issues requests into (implemented by Cluster).
-class MemIssueSink {
- public:
-  virtual ~MemIssueSink() = default;
-  /// `row`-decomposition and routing happen inside; may refuse (port busy).
-  virtual IssueResult issue_mem(const MemRequest& request) = 0;
-  /// Begin an instruction-cache refill for tile `tile` covering `pc`.
-  virtual void request_icache_refill(u32 tile, u32 pc) = 0;
-
-  // Occupancy transitions, so the cluster can keep an O(1) awake-core count
-  // and an active-core list instead of scanning every cycle. "Awake" means
-  // runnable: kRunning, or kWfi holding a wake token (it resumes on its
-  // next step). Transitions are rare (sleep/wake/halt), so the virtual call
-  // is off the per-cycle hot path. Default no-ops keep test stubs simple.
-  /// Core entered token-less wfi (left the runnable set).
-  virtual void note_core_asleep(u16 core) { (void)core; }
-  /// A wake token reached a token-less sleeping core (runnable again).
-  virtual void note_core_awake(u16 core) { (void)core; }
-  /// Core halted (ecall) or faulted; `was_awake` = runnable just before.
-  virtual void note_core_halted(u16 core, bool was_awake) {
-    (void)core;
-    (void)was_awake;
-  }
-};
+class Cluster;
 
 enum class CoreState : u8 { kRunning, kWfi, kHalted, kError };
 
@@ -62,7 +39,10 @@ class SnitchCore {
  public:
   SnitchCore(const ClusterConfig& cfg, u16 global_id, u32 tile_id);
 
-  void attach(MemIssueSink* sink, TileICache* icache, const DecodedImage* image);
+  /// Wire the core to its cluster (memory requests, icache refills and the
+  /// sleep/wake/halt occupancy hooks), its tile's icache and the decoded
+  /// program image.
+  void attach(Cluster* cluster, TileICache* icache, const DecodedImage* image);
 
   /// Reset architectural state and start at `pc` with stack pointer `sp`.
   void reset(u32 pc, u32 sp);
@@ -96,6 +76,11 @@ class SnitchCore {
   }
   bool lsu_idle() const { return outstanding_ == 0; }
   std::string error_message() const { return error_; }
+  /// What holds the core back at cycle `now`, for deadlock reports: a
+  /// token-less wfi, a pending instruction fetch, the register the
+  /// instruction at pc waits on (RAW), and in-flight LSU requests,
+  /// comma-separated; empty when nothing does.
+  std::string blocking_cause(sim::Cycle now) const;
 
   /// External fault injection (invalid address, bus error, ...).
   void fault(const std::string& message) { halt_error(message); }
@@ -117,7 +102,9 @@ class SnitchCore {
   };
 
   void execute(const isa::Instr& instr, sim::Cycle now);
-  bool hazard(const isa::Instr& instr, sim::Cycle now) const;
+  /// First register `instr` must wait on at `now` (RAW, WAW or the p.mac
+  /// accumulator), or -1 when it may issue.
+  int hazard_reg(const isa::Instr& instr, sim::Cycle now) const;
   bool issue_memory_op(const isa::Instr& instr, sim::Cycle now);
   u32 csr_read(u16 csr, sim::Cycle now) const;
   void csr_write(u16 csr, u32 value);
@@ -133,7 +120,7 @@ class SnitchCore {
   u16 global_id_;
   u32 tile_id_;
 
-  MemIssueSink* sink_ = nullptr;
+  Cluster* cluster_ = nullptr;
   TileICache* icache_ = nullptr;
   const DecodedImage* image_ = nullptr;
 

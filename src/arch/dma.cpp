@@ -3,6 +3,7 @@
 
 #include <algorithm>
 
+#include "arch/cluster.hpp"
 #include "arch/global_mem.hpp"
 #include "common/assert.hpp"
 #include "obs/trace.hpp"
@@ -71,20 +72,20 @@ void DmaEngine::set_trace(obs::Trace* trace, u32 track) {
 }
 
 void DmaEngine::move_word(const DmaDescriptor& d, u32 word_index, GlobalMemory& gmem,
-                          DmaSpmPort& spm) {
+                          Cluster& cluster) {
   const u32 linear = word_index * 4;
   const u32 row = linear / d.bytes_per_row;
   const u32 off = linear % d.bytes_per_row;
   if (d.to_spm) {
     const u32 value = gmem.read_word(d.src + row * d.gmem_stride + off);
-    spm.dma_write_spm(d.dst + linear, value);
+    cluster.spm_write_word(d.dst + linear, value);
   } else {
-    const u32 value = spm.dma_read_spm(d.src + linear);
+    const u32 value = cluster.spm_read_word(d.src + linear);
     gmem.write_word(d.dst + row * d.gmem_stride + off, value);
   }
 }
 
-u32 DmaEngine::step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm,
+u32 DmaEngine::step(sim::Cycle now, GlobalMemory& gmem, Cluster& cluster,
                     DmaRetireTracker& tracker) {
   while (!completing_.empty() && completing_.front().done_at <= now) {
     // The descriptor leaves the pending count this cycle; this is the
@@ -96,7 +97,7 @@ u32 DmaEngine::step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm,
       trace_->instant(track_, ev_retired_, now, completing_.front().ticket);
     }
     if (completing_.front().waker != kDmaNoWaker) {
-      spm.dma_wake_core(completing_.front().waker);
+      cluster.dma_wake_core(completing_.front().waker);
     }
     completing_.pop_front();
   }
@@ -124,7 +125,7 @@ u32 DmaEngine::step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm,
     port_budget -= got;
     backlog_bytes_ -= got;
     while (static_cast<u64>(moved_words_ + 1) * 4 <= granted_bytes_) {
-      move_word(current_, moved_words_, gmem, spm);
+      move_word(current_, moved_words_, gmem, cluster);
       ++moved_words_;
     }
     if (granted_bytes_ == current_.total_bytes()) {
@@ -201,14 +202,14 @@ u32 DmaSubsystem::pending(u32 group) const {
   return total;
 }
 
-u32 DmaSubsystem::step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm) {
+u32 DmaSubsystem::step(sim::Cycle now, GlobalMemory& gmem, Cluster& cluster) {
   // Rotate the service order so no engine permanently wins the leftover
   // channel budget when several groups stream at once.
   const u32 n = static_cast<u32>(engines_.size());
   u32 moved = 0;
   for (u32 i = 0; i < n; ++i) {
     const u32 e = (step_rr_ + i) % n;
-    moved += engines_[e].step(now, gmem, spm, trackers_[e / engines_per_group_]);
+    moved += engines_[e].step(now, gmem, cluster, trackers_[e / engines_per_group_]);
   }
   step_rr_ = n == 0 ? 0 : (step_rr_ + 1) % n;
   if (moved > 0) {

@@ -40,25 +40,11 @@ class Trace;
 
 namespace mp3d::arch {
 
+class Cluster;
 class GlobalMemory;
 
 /// Sentinel for DmaDescriptor::waker: nobody is woken on completion.
 inline constexpr u32 kDmaNoWaker = 0xFFFF'FFFFu;
-
-/// Cluster-side port of the DMA engines: word-granular functional SPM
-/// access (the engines own a dedicated wide SPM port, so data moves
-/// directly into the interleaved banks without traversing the core-side
-/// interconnect) plus the completion-wake hook into the cluster's wake-up
-/// unit.
-class DmaSpmPort {
- public:
-  virtual ~DmaSpmPort() = default;
-  virtual u32 dma_read_spm(u32 addr) = 0;
-  virtual void dma_write_spm(u32 addr, u32 value) = 0;
-  /// A descriptor carrying waker id `core` finished (its completion-latency
-  /// window passed, i.e. the cycle its group's pending count drops).
-  virtual void dma_wake_core(u32 core) = 0;
-};
 
 /// A validated bulk-transfer request (built from the ctrl registers).
 struct DmaDescriptor {
@@ -130,9 +116,12 @@ class DmaEngine {
 
   /// Advance one cycle; returns bytes granted (progress for deadlock
   /// detection). Must run after GlobalMemory::step so the cycle's scalar
-  /// traffic has first claim on the byte budget. Retiring descriptors are
-  /// reported to `tracker` (their group's) before any completion wake.
-  u32 step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm,
+  /// traffic has first claim on the byte budget. Words move through the
+  /// engines' dedicated wide SPM port (`cluster`'s banks, bypassing the
+  /// core-side interconnect); a retiring descriptor is reported to
+  /// `tracker` (its group's) before its waker is woken through `cluster`'s
+  /// wake-up unit.
+  u32 step(sim::Cycle now, GlobalMemory& gmem, Cluster& cluster,
            DmaRetireTracker& tracker);
 
   bool idle() const { return pending() == 0; }
@@ -156,7 +145,7 @@ class DmaEngine {
 
  private:
   void move_word(const DmaDescriptor& d, u32 word_index, GlobalMemory& gmem,
-                 DmaSpmPort& spm);
+                 Cluster& cluster);
 
   u32 max_outstanding_;
   u32 port_bytes_per_cycle_;
@@ -216,7 +205,7 @@ class DmaSubsystem final {
   u64 retired(u32 group) const { return trackers_[group].watermark(); }
 
   /// Advance every engine one cycle; returns total bytes granted.
-  u32 step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm);
+  u32 step(sim::Cycle now, GlobalMemory& gmem, Cluster& cluster);
 
   /// Aggregate channel-byte backlog of every engine — the bulk-demand
   /// signal the gmem bounded-share arbiter reserves against.

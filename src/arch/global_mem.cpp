@@ -64,12 +64,6 @@ void GlobalMemory::write_word(u32 addr, u32 value) {
   word_ref(addr & ~3U) = value;
 }
 
-void GlobalMemory::write_block(u32 addr, const std::vector<u32>& words) {
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    write_word(addr + static_cast<u32>(i) * 4, words[i]);
-  }
-}
-
 void GlobalMemory::enqueue(const MemRequest& request, sim::Cycle /*now*/) {
   Item item;
   item.is_refill = false;

@@ -39,7 +39,6 @@ class GlobalMemory final {
   // ---- functional backdoor (host access, program loading) ----------------
   u32 read_word(u32 addr) const;
   void write_word(u32 addr, u32 value);
-  void write_block(u32 addr, const std::vector<u32>& words);
 
   // ---- timed interface -----------------------------------------------------
   /// Enqueue a scalar request (always accepted; the paper's model has no

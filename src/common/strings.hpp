@@ -10,8 +10,6 @@ namespace mp3d {
 
 std::string_view trim(std::string_view s);
 std::vector<std::string> split(std::string_view s, char sep);
-/// Split on any whitespace, skipping empty fields.
-std::vector<std::string> split_ws(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
 std::string to_lower(std::string_view s);
 /// printf-style formatting into std::string.

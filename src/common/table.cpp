@@ -2,7 +2,6 @@
 #include "common/table.hpp"
 
 #include <algorithm>
-#include <iostream>
 #include <sstream>
 
 #include "common/strings.hpp"
@@ -17,12 +16,7 @@ Table& Table::header(std::vector<std::string> cells) {
 }
 
 Table& Table::row(std::vector<std::string> cells) {
-  rows_.push_back(Row{std::move(cells), false});
-  return *this;
-}
-
-Table& Table::rule() {
-  rows_.push_back(Row{{}, true});
+  rows_.push_back(std::move(cells));
   return *this;
 }
 
@@ -38,10 +32,8 @@ std::string Table::to_string() const {
     }
   };
   absorb(header_);
-  for (const Row& r : rows_) {
-    if (!r.is_rule) {
-      absorb(r.cells);
-    }
+  for (const std::vector<std::string>& r : rows_) {
+    absorb(r);
   }
 
   std::size_t total = widths.empty() ? 0 : 3 * (widths.size() - 1);
@@ -68,17 +60,11 @@ std::string Table::to_string() const {
     emit(header_);
     oss << std::string(total, '-') << "\n";
   }
-  for (const Row& r : rows_) {
-    if (r.is_rule) {
-      oss << std::string(total, '-') << "\n";
-    } else {
-      emit(r.cells);
-    }
+  for (const std::vector<std::string>& r : rows_) {
+    emit(r);
   }
   return oss.str();
 }
-
-void Table::print(std::ostream& os) const { os << to_string(); }
 
 std::string fmt_fixed(double v, int digits) { return strfmt("%.*f", digits, v); }
 

@@ -3,7 +3,6 @@
 // tables (Table I / Table II rows, figure series).
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -15,22 +14,13 @@ class Table {
 
   Table& header(std::vector<std::string> cells);
   Table& row(std::vector<std::string> cells);
-  /// Horizontal separator between row groups.
-  Table& rule();
 
   std::string to_string() const;
-  void print(std::ostream& os) const;
-
-  std::size_t num_rows() const { return rows_.size(); }
 
  private:
-  struct Row {
-    std::vector<std::string> cells;
-    bool is_rule = false;
-  };
   std::string title_;
   std::vector<std::string> header_;
-  std::vector<Row> rows_;
+  std::vector<std::vector<std::string>> rows_;
 };
 
 /// Format helpers for table cells.

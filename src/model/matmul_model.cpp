@@ -30,44 +30,4 @@ CycleBreakdown matmul_cycles(const MatmulWorkload& w, const MatmulCalibration& c
   return out;
 }
 
-std::vector<Fig6Row> figure6_sweep(
-    u64 m, u32 cores,
-    const std::vector<std::pair<u64, MatmulCalibration>>& calibrations,
-    const std::vector<double>& bandwidths) {
-  MP3D_CHECK(!calibrations.empty() && !bandwidths.empty(), "empty sweep inputs");
-  std::vector<Fig6Row> rows;
-
-  // Baseline: smallest capacity at the lowest bandwidth (the paper uses
-  // 1 MiB @ 4 B/cycle).
-  MatmulWorkload base;
-  base.m = m;
-  base.cores = cores;
-  base.t = calibrations.front().second.t;
-  base.bw_bytes_per_cycle = bandwidths.front();
-  const double base_cycles = matmul_cycles(base, calibrations.front().second).total();
-
-  for (const double bw : bandwidths) {
-    double prev_cycles = 0.0;
-    for (std::size_t i = 0; i < calibrations.size(); ++i) {
-      const auto& [capacity, cal] = calibrations[i];
-      MatmulWorkload w;
-      w.m = m;
-      w.cores = cores;
-      w.t = cal.t;
-      w.bw_bytes_per_cycle = bw;
-      const double cycles = matmul_cycles(w, cal).total();
-      Fig6Row row;
-      row.spm_capacity = capacity;
-      row.t = cal.t;
-      row.bw = bw;
-      row.cycles = cycles;
-      row.speedup_vs_baseline = base_cycles / cycles - 1.0;
-      row.speedup_vs_half_capacity = i == 0 ? 0.0 : prev_cycles / cycles - 1.0;
-      prev_cycles = cycles;
-      rows.push_back(row);
-    }
-  }
-  return rows;
-}
-
 }  // namespace mp3d::model

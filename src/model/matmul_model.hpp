@@ -11,8 +11,6 @@
 // effects behind Figure 6.
 #pragma once
 
-#include <vector>
-
 #include "model/calibration.hpp"
 
 namespace mp3d::model {
@@ -33,23 +31,5 @@ struct CycleBreakdown {
 
 /// Evaluate the model. `cal.t` must equal `w.t`.
 CycleBreakdown matmul_cycles(const MatmulWorkload& w, const MatmulCalibration& cal);
-
-/// One Figure-6 data point set: total cycle counts for every capacity at
-/// every bandwidth, plus speedups.
-struct Fig6Row {
-  u64 spm_capacity = 0;
-  u32 t = 0;
-  double bw = 0.0;
-  double cycles = 0.0;
-  double speedup_vs_baseline = 0.0;    ///< vs 1 MiB at 4 B/cycle
-  double speedup_vs_half_capacity = 0.0;  ///< vs previous capacity, same bw
-};
-
-/// Build the Figure 6 sweep from per-capacity calibrations. `calibrations`
-/// must be ordered by capacity {1,2,4,8} MiB with matching tile dims.
-std::vector<Fig6Row> figure6_sweep(u64 m, u32 cores,
-                                   const std::vector<std::pair<u64, MatmulCalibration>>&
-                                       calibrations,
-                                   const std::vector<double>& bandwidths);
 
 }  // namespace mp3d::model

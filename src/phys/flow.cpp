@@ -24,12 +24,4 @@ std::vector<ImplConfig> paper_configs() {
   return configs;
 }
 
-std::vector<ImplResult> implement_all(const Technology& tech) {
-  std::vector<ImplResult> results;
-  for (const ImplConfig& config : paper_configs()) {
-    results.push_back(implement(config, tech));
-  }
-  return results;
-}
-
 }  // namespace mp3d::phys

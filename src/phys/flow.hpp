@@ -29,7 +29,4 @@ ImplResult implement(const ImplConfig& config,
 /// The paper's eight configurations ({2D,3D} x {1,2,4,8} MiB), 2D first.
 std::vector<ImplConfig> paper_configs();
 
-/// All eight implementations.
-std::vector<ImplResult> implement_all(const Technology& tech = Technology::node28());
-
 }  // namespace mp3d::phys

@@ -24,15 +24,4 @@ OperatingPoint make_operating_point(const arch::ClusterConfig& cfg, phys::Flow f
   return op;
 }
 
-std::vector<OperatingPoint> paper_operating_points(const phys::Technology& tech) {
-  std::vector<OperatingPoint> points;
-  for (const phys::Flow flow : {phys::Flow::k2D, phys::Flow::k3D}) {
-    for (const u64 mib : {1, 2, 4, 8}) {
-      points.push_back(
-          make_operating_point(arch::ClusterConfig::mempool(MiB(mib)), flow, tech));
-    }
-  }
-  return points;
-}
-
 }  // namespace mp3d::power

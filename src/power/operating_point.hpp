@@ -9,7 +9,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "arch/params.hpp"
 #include "phys/group_flow.hpp"
@@ -34,11 +33,6 @@ struct OperatingPoint {
 /// a 2x2 tile grid per group), so tests can use scaled-down clusters.
 OperatingPoint make_operating_point(
     const arch::ClusterConfig& cfg, phys::Flow flow,
-    const phys::Technology& tech = phys::Technology::node28());
-
-/// The paper's eight operating points ({2D,3D} x {1,2,4,8} MiB) on the
-/// full MemPool cluster shape, 2D first.
-std::vector<OperatingPoint> paper_operating_points(
     const phys::Technology& tech = phys::Technology::node28());
 
 }  // namespace mp3d::power

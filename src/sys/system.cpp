@@ -363,7 +363,8 @@ SystemResult System::run_jobs(std::vector<JobSpec> jobs, u64 max_cycles) {
           break;
         }
       }
-      MP3D_WARN("system deadlock: " << diag);
+      MP3D_WARN("system deadlock: no progress for " << sim::Watchdog::kWindow
+                                                    << " cycles; " << diag);
       for (u32 k = 0; k < num_clusters(); ++k) {
         if (seats_[k].state == ClusterState::kRunning) {
           finish_job(k, jobs[seats_[k].job], false, true, false);

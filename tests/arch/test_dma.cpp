@@ -5,8 +5,6 @@
 // matmul over the core-driven variant.
 #include <gtest/gtest.h>
 
-#include <unordered_map>
-
 #include "arch/dma.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/simple_kernels.hpp"
@@ -17,19 +15,14 @@ namespace {
 
 using mp3d::testing::ctrl_prelude;
 
-/// Word-granular SPM stand-in for engine-level unit tests.
-class FakeSpm : public DmaSpmPort {
- public:
-  u32 dma_read_spm(u32 addr) override { return words_[addr]; }
-  void dma_write_spm(u32 addr, u32 value) override { words_[addr] = value; }
-  void dma_wake_core(u32 core) override { wakes_.push_back(core); }
-  std::unordered_map<u32, u32> words_;
-  std::vector<u32> wakes_;  ///< waker ids in completion order
-};
+// Engine-level unit tests drive a standalone GlobalMemory + DmaSubsystem;
+// a Cluster of the same shape provides the SPM banks the engines write and
+// the wake-up unit their completion wakes go to (its own step() never
+// runs).
 
 /// Steps gmem + subsystem until idle; returns the cycle the last
 /// descriptor completed (first cycle `pending` reads zero).
-sim::Cycle run_until_idle(DmaSubsystem& dma, GlobalMemory& gmem, FakeSpm& spm,
+sim::Cycle run_until_idle(DmaSubsystem& dma, GlobalMemory& gmem, Cluster& cluster,
                           sim::Cycle limit = 10000) {
   std::vector<MemResponse> responses;
   std::vector<u32> refills;
@@ -39,7 +32,7 @@ sim::Cycle run_until_idle(DmaSubsystem& dma, GlobalMemory& gmem, FakeSpm& spm,
     responses.clear();
     refills.clear();
     gmem.step(cycle, responses, refills);
-    dma.step(cycle, gmem, spm);
+    dma.step(cycle, gmem, cluster);
     if (dma.idle()) {
       return cycle;
     }
@@ -54,7 +47,7 @@ TEST(DmaEngineUnit, Deterministic1DCompletionMini) {
   GlobalMemory gmem(cfg.gmem_base, cfg.gmem_size, cfg.gmem_bytes_per_cycle,
                     cfg.gmem_latency);
   DmaSubsystem dma(cfg);
-  FakeSpm spm;
+  Cluster cluster(cfg);
   for (u32 i = 0; i < 64; ++i) {
     gmem.write_word(cfg.gmem_base + 4 * i, 0x1000 + i);
   }
@@ -67,10 +60,10 @@ TEST(DmaEngineUnit, Deterministic1DCompletionMini) {
   ASSERT_TRUE(dma.can_accept(0));
   dma.push(0, d);
   EXPECT_EQ(dma.pending(0), 1U);
-  const sim::Cycle done = run_until_idle(dma, gmem, spm);
+  const sim::Cycle done = run_until_idle(dma, gmem, cluster);
   EXPECT_EQ(done, 256 / cfg.gmem_bytes_per_cycle + cfg.gmem_latency);
   for (u32 i = 0; i < 64; ++i) {
-    EXPECT_EQ(spm.words_[0x2000 + 4 * i], 0x1000 + i);
+    EXPECT_EQ(cluster.read_word(0x2000 + 4 * i), 0x1000 + i);
   }
 }
 
@@ -84,7 +77,7 @@ TEST(DmaEngineUnit, Deterministic1DCompletionTinyNarrowPort) {
   GlobalMemory gmem(cfg.gmem_base, cfg.gmem_size, cfg.gmem_bytes_per_cycle,
                     cfg.gmem_latency);
   DmaSubsystem dma(cfg);
-  FakeSpm spm;
+  Cluster cluster(cfg);
   DmaDescriptor d;
   d.src = cfg.gmem_base;
   d.dst = 0x2000;
@@ -92,7 +85,7 @@ TEST(DmaEngineUnit, Deterministic1DCompletionTinyNarrowPort) {
   d.rows = 1;
   d.to_spm = true;
   dma.push(0, d);
-  const sim::Cycle done = run_until_idle(dma, gmem, spm);
+  const sim::Cycle done = run_until_idle(dma, gmem, cluster);
   EXPECT_EQ(done, 64 / cfg.dma.bytes_per_cycle + cfg.gmem_latency);
 }
 
@@ -104,7 +97,7 @@ TEST(DmaEngineUnit, Strided2DPlacementAndTiming) {
   GlobalMemory gmem(cfg.gmem_base, cfg.gmem_size, cfg.gmem_bytes_per_cycle,
                     cfg.gmem_latency);
   DmaSubsystem dma(cfg);
-  FakeSpm spm;
+  Cluster cluster(cfg);
   for (u32 row = 0; row < 4; ++row) {
     for (u32 i = 0; i < 16; ++i) {
       gmem.write_word(cfg.gmem_base + row * 256 + 4 * i, (row << 8) | i);
@@ -118,12 +111,12 @@ TEST(DmaEngineUnit, Strided2DPlacementAndTiming) {
   d.gmem_stride = 256;
   d.to_spm = true;
   dma.push(0, d);
-  const sim::Cycle done = run_until_idle(dma, gmem, spm);
+  const sim::Cycle done = run_until_idle(dma, gmem, cluster);
   EXPECT_EQ(done, 256 / cfg.gmem_bytes_per_cycle + cfg.gmem_latency);
   // SPM side is contiguous: word (row*16 + i) holds row/col tag.
   for (u32 row = 0; row < 4; ++row) {
     for (u32 i = 0; i < 16; ++i) {
-      EXPECT_EQ(spm.words_[0x3000 + (row * 16 + i) * 4], (row << 8) | i);
+      EXPECT_EQ(cluster.read_word(0x3000 + (row * 16 + i) * 4), (row << 8) | i);
     }
   }
 }
@@ -133,9 +126,9 @@ TEST(DmaEngineUnit, Strided2DStoreToGmem) {
   GlobalMemory gmem(cfg.gmem_base, cfg.gmem_size, cfg.gmem_bytes_per_cycle,
                     cfg.gmem_latency);
   DmaSubsystem dma(cfg);
-  FakeSpm spm;
+  Cluster cluster(cfg);
   for (u32 i = 0; i < 32; ++i) {
-    spm.words_[0x2000 + 4 * i] = 0xAB00 + i;
+    cluster.write_word(0x2000 + 4 * i, 0xAB00 + i);
   }
   DmaDescriptor d;
   d.src = 0x2000;
@@ -145,7 +138,7 @@ TEST(DmaEngineUnit, Strided2DStoreToGmem) {
   d.gmem_stride = 128;
   d.to_spm = false;
   dma.push(0, d);
-  run_until_idle(dma, gmem, spm);
+  run_until_idle(dma, gmem, cluster);
   for (u32 row = 0; row < 4; ++row) {
     for (u32 i = 0; i < 8; ++i) {
       EXPECT_EQ(gmem.read_word(cfg.gmem_base + 0x100 + row * 128 + 4 * i),
@@ -163,7 +156,7 @@ TEST(DmaEngineUnit, ScalarTrafficWinsTheByteBudget) {
   GlobalMemory gmem(cfg.gmem_base, cfg.gmem_size, cfg.gmem_bytes_per_cycle,
                     cfg.gmem_latency);
   DmaSubsystem dma(cfg);
-  FakeSpm spm;
+  Cluster cluster(cfg);
   for (int i = 0; i < 4; ++i) {
     MemRequest req;
     req.addr = cfg.gmem_base + 4 * i;
@@ -177,7 +170,7 @@ TEST(DmaEngineUnit, ScalarTrafficWinsTheByteBudget) {
   d.rows = 1;
   d.to_spm = true;
   dma.push(0, d);
-  const sim::Cycle done = run_until_idle(dma, gmem, spm);
+  const sim::Cycle done = run_until_idle(dma, gmem, cluster);
   EXPECT_EQ(done, 2 + 64 / cfg.gmem_bytes_per_cycle + cfg.gmem_latency);
 }
 
@@ -463,12 +456,30 @@ chat:
 
 // ------------------------------------------------------- wake on completion
 
+/// Park every core of `cluster` in token-less wfi, so an engine's
+/// completion wake shows up as exactly the woken core turning runnable.
+void park_all_cores(Cluster& cluster) {
+  isa::AsmOptions options;
+  options.default_base = cluster.config().gmem_base;
+  cluster.load_program(isa::assemble(R"(
+.text 0x80000000
+_start:
+    wfi
+    j _start
+)",
+                                     options));
+  for (int i = 0; i < 1000 && !cluster.quiescent(); ++i) {
+    cluster.step();
+  }
+  ASSERT_TRUE(cluster.quiescent());
+}
+
 TEST(DmaWake, EngineReportsWakerOnCompletion) {
   const ClusterConfig cfg = ClusterConfig::mini();
   GlobalMemory gmem(cfg.gmem_base, cfg.gmem_size, cfg.gmem_bytes_per_cycle,
                     cfg.gmem_latency);
   DmaSubsystem dma(cfg);
-  FakeSpm spm;
+  Cluster cluster(cfg);
   DmaDescriptor d;
   d.src = cfg.gmem_base;
   d.dst = 0x2000;
@@ -477,18 +488,19 @@ TEST(DmaWake, EngineReportsWakerOnCompletion) {
   d.to_spm = true;
   d.waker = 3;
   dma.push(0, d);
+  park_all_cores(cluster);
   // No wake before the completion-latency window passes.
   std::vector<MemResponse> responses;
   std::vector<u32> refills;
   for (sim::Cycle cycle = 1; cycle <= 256 / cfg.gmem_bytes_per_cycle; ++cycle) {
     gmem.step(cycle, responses, refills);
-    dma.step(cycle, gmem, spm);
+    dma.step(cycle, gmem, cluster);
   }
-  EXPECT_TRUE(spm.wakes_.empty());
-  const sim::Cycle done = run_until_idle(dma, gmem, spm);
+  EXPECT_EQ(cluster.awake_cores(), 0U);
+  const sim::Cycle done = run_until_idle(dma, gmem, cluster);
   EXPECT_EQ(done, 256 / cfg.gmem_bytes_per_cycle + cfg.gmem_latency);
-  ASSERT_EQ(spm.wakes_.size(), 1U);
-  EXPECT_EQ(spm.wakes_[0], 3U);
+  EXPECT_EQ(cluster.awake_cores(), 1U);
+  EXPECT_TRUE(cluster.core(3).runnable());
 }
 
 TEST(DmaWake, NoWakerDescriptorWakesNobody) {
@@ -496,7 +508,7 @@ TEST(DmaWake, NoWakerDescriptorWakesNobody) {
   GlobalMemory gmem(cfg.gmem_base, cfg.gmem_size, cfg.gmem_bytes_per_cycle,
                     cfg.gmem_latency);
   DmaSubsystem dma(cfg);
-  FakeSpm spm;
+  Cluster cluster(cfg);
   DmaDescriptor d;
   d.src = cfg.gmem_base;
   d.dst = 0x2000;
@@ -504,8 +516,9 @@ TEST(DmaWake, NoWakerDescriptorWakesNobody) {
   d.rows = 1;
   d.to_spm = true;
   dma.push(0, d);
-  run_until_idle(dma, gmem, spm);
-  EXPECT_TRUE(spm.wakes_.empty());
+  park_all_cores(cluster);
+  run_until_idle(dma, gmem, cluster);
+  EXPECT_EQ(cluster.awake_cores(), 0U);
 }
 
 TEST(DmaWake, SleepingCoreWokenExactlyOncePerDescriptor) {
@@ -799,7 +812,7 @@ TEST(DmaRetire, WatermarkHoldsBackEarlyRetirementAcrossEngines) {
   GlobalMemory gmem(cfg.gmem_base, cfg.gmem_size, cfg.gmem_bytes_per_cycle,
                     cfg.gmem_latency);
   DmaSubsystem dma(cfg);
-  FakeSpm spm;
+  Cluster cluster(cfg);
   DmaDescriptor large;
   large.src = cfg.gmem_base;
   large.dst = 0x1000;
@@ -820,7 +833,7 @@ TEST(DmaRetire, WatermarkHoldsBackEarlyRetirementAcrossEngines) {
     responses.clear();
     refills.clear();
     gmem.step(cycle, responses, refills);
-    dma.step(cycle, gmem, spm);
+    dma.step(cycle, gmem, cluster);
     if (dma.pending(0) == 1) {
       // Only the large descriptor is still in flight: the small one has
       // retired, yet the watermark must not have moved.

@@ -3,51 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
-
-#include "common/prng.hpp"
 
 namespace mp3d {
 namespace {
-
-TEST(RunningStats, Empty) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0U);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStats, Basics) {
-  RunningStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.add(x);
-  }
-  EXPECT_EQ(s.count(), 8U);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);  // classic textbook dataset
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  Prng rng(7);
-  RunningStats all;
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform() * 10 - 5;
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
 
 TEST(Percentile, EmptyIsZero) {
   std::vector<u64> v;
@@ -98,45 +57,6 @@ TEST(Percentile, P99OnUniformRamp) {
   // rank = 0.99 * 99 = 98.01 -> between 99 and 100.
   EXPECT_NEAR(percentile(v, 0.99), 99.01, 1e-9);
   EXPECT_DOUBLE_EQ(percentile(v, 0.5), 50.5);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-5.0);   // clamps into first bin
-  h.add(100.0);  // clamps into last bin
-  EXPECT_EQ(h.total(), 4U);
-  EXPECT_EQ(h.bins().front(), 2U);
-  EXPECT_EQ(h.bins().back(), 2U);
-}
-
-TEST(Histogram, Quantile) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) {
-    h.add(i + 0.5);
-  }
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.5);
-}
-
-TEST(Histogram, QuantileZeroSkipsLeadingEmptyBins) {
-  // Regression: q = 0 used to return lo_ unconditionally — the zero target
-  // was satisfied by the first (empty) bin. It must report the lower edge
-  // of the first bin that actually holds mass.
-  Histogram h(0.0, 100.0, 10);
-  h.add(75.0);  // bin [70, 80); bins 0..6 stay empty
-  h.add(85.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 70.0);
-  // An empty histogram still reports the range floor.
-  Histogram empty(0.0, 100.0, 10);
-  EXPECT_DOUBLE_EQ(empty.quantile(0.0), 0.0);
-}
-
-TEST(Histogram, RejectsEmptyRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 }  // namespace

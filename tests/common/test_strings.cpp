@@ -28,15 +28,6 @@ TEST(Strings, SplitSingle) {
   EXPECT_EQ(parts[0], "abc");
 }
 
-TEST(Strings, SplitWs) {
-  const auto parts = split_ws("  add a0,   a1 \t a2 ");
-  ASSERT_EQ(parts.size(), 4U);
-  EXPECT_EQ(parts[0], "add");
-  EXPECT_EQ(parts[1], "a0,");
-  EXPECT_EQ(parts[2], "a1");
-  EXPECT_EQ(parts[3], "a2");
-}
-
 TEST(Strings, StartsWith) {
   EXPECT_TRUE(starts_with("p.mac", "p."));
   EXPECT_FALSE(starts_with("mac", "p."));

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/csv.hpp"
-
 namespace mp3d {
 namespace {
 
@@ -19,21 +17,6 @@ TEST(Table, AlignsColumns) {
   EXPECT_NE(s.find("longer | 22"), std::string::npos);
 }
 
-TEST(Table, RuleSeparatesGroups) {
-  Table t;
-  t.header({"a"});
-  t.row({"1"});
-  t.rule();
-  t.row({"2"});
-  const std::string s = t.to_string();
-  // header rule + explicit rule
-  size_t dashes = 0;
-  for (const char c : s) {
-    dashes += c == '-' ? 1 : 0;
-  }
-  EXPECT_GT(dashes, 1U);
-}
-
 TEST(TableFormat, Percent) {
   EXPECT_EQ(fmt_pct(0.091), "+9.1 %");
   EXPECT_EQ(fmt_pct(-0.335), "-33.5 %");
@@ -44,21 +27,6 @@ TEST(TableFormat, NormalizedAndCounts) {
   EXPECT_EQ(fmt_norm(0.955), "0.955");
   EXPECT_EQ(fmt_count(182900), "182.9e3");
   EXPECT_EQ(fmt_count(42), "42");
-}
-
-TEST(Csv, EscapesSpecials) {
-  CsvWriter w;
-  w.header({"a", "b"});
-  w.row({"x,y", "he said \"hi\""});
-  const std::string s = w.str();
-  EXPECT_NE(s.find("\"x,y\""), std::string::npos);
-  EXPECT_NE(s.find("\"he said \"\"hi\"\"\""), std::string::npos);
-}
-
-TEST(Csv, PlainRows) {
-  CsvWriter w;
-  w.row({"1", "2", "3"});
-  EXPECT_EQ(w.str(), "1,2,3\n");
 }
 
 }  // namespace

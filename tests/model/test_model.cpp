@@ -2,6 +2,9 @@
 // Cycle model + live calibration against the simulator.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "kernels/matmul.hpp"
 #include "model/calibration.hpp"
 #include "model/matmul_model.hpp"
 
@@ -50,29 +53,27 @@ TEST(MatmulModel, RejectsMismatchedCalibration) {
 }
 
 TEST(Figure6Sweep, MonotoneInCapacityAndBandwidth) {
-  std::vector<std::pair<u64, MatmulCalibration>> cals;
-  for (const u64 mib : {1, 2, 4, 8}) {
-    const u32 t = mib == 1 ? 256 : (mib == 2 ? 384 : (mib == 4 ? 544 : 800));
-    cals.emplace_back(MiB(mib), default_calibration(t));
-  }
-  const auto rows = figure6_sweep(326400, 256, cals, {4, 8, 16, 32, 64});
-  ASSERT_EQ(rows.size(), 20U);
-  for (const auto& row : rows) {
-    EXPECT_GE(row.speedup_vs_baseline, -1e-9);
-    if (row.spm_capacity != MiB(1)) {
-      EXPECT_GT(row.speedup_vs_half_capacity, 0.0)
-          << row.bw << " " << row.spm_capacity;
+  // The grid bench/fig6_cycle_speedup evaluates: M = 326400, the tile dim
+  // that fills each capacity, the pre-measured calibration of that tile.
+  const std::vector<u64> capacities = {MiB(1), MiB(2), MiB(4), MiB(8)};
+  auto cycles = [](double bw, u64 capacity) {
+    MatmulWorkload w;
+    w.m = 326400;
+    w.t = kernels::MatmulParams::paper_tile_dim(capacity);
+    w.bw_bytes_per_cycle = bw;
+    return matmul_cycles(w, default_calibration(w.t)).total();
+  };
+  const double baseline = cycles(4, MiB(1));
+  for (const double bw : {4.0, 8.0, 16.0, 32.0, 64.0}) {
+    for (std::size_t i = 0; i < capacities.size(); ++i) {
+      const double c = cycles(bw, capacities[i]);
+      EXPECT_LE(c, baseline * (1.0 + 1e-9)) << bw << " " << capacities[i];
+      if (i > 0) {
+        EXPECT_LT(c, cycles(bw, capacities[i - 1])) << bw << " " << capacities[i];
+      }
     }
   }
   // Paper headline: ~+43 % @4 B/c, ~+16 % @16 B/c for 8 MiB over 1 MiB.
-  auto cycles = [&](double bw, u64 cap) {
-    for (const auto& row : rows) {
-      if (row.bw == bw && row.spm_capacity == cap) {
-        return row.cycles;
-      }
-    }
-    return 0.0;
-  };
   const double sp4 = cycles(4, MiB(1)) / cycles(4, MiB(8)) - 1.0;
   const double sp16 = cycles(16, MiB(1)) / cycles(16, MiB(8)) - 1.0;
   EXPECT_NEAR(sp4, 0.43, 0.12);

@@ -97,11 +97,11 @@ TEST(TileFlowTrends, PartitionerRebalancesLargeCapacities) {
 }
 
 TEST(GroupFlowTrends, TableIINormalizedWithinTolerance) {
-  const auto results = implement_all();
-  const GroupImpl& base = results.front().group;
-  for (const ImplResult& r : results) {
-    const auto& ref = paper::group_ref(r.config.flow, r.config.spm_capacity);
-    const GroupImpl& g = r.group;
+  const std::vector<ImplConfig> configs = paper_configs();
+  const GroupImpl base = implement(configs.front()).group;
+  for (const ImplConfig& config : configs) {
+    const auto& ref = paper::group_ref(config.flow, config.spm_capacity);
+    const GroupImpl g = implement(config).group;
     EXPECT_NEAR(g.footprint_mm2 / base.footprint_mm2, ref.footprint_norm,
                 0.10 * ref.footprint_norm);
     EXPECT_NEAR(g.wire_length_mm / base.wire_length_mm, ref.wire_length_norm,
@@ -133,9 +133,9 @@ TEST(GroupFlowTrends, ThreeDBeatsTwoDPerCapacity) {
 
 TEST(GroupFlowTrends, LargestThreeDSmallerThanSmallestTwoD) {
   // Paper: MemPool-3D 8 MiB footprint is 14 % below MemPool-2D 1 MiB.
-  const auto results = implement_all();
-  const double fp_2d_1 = results[0].group.footprint_mm2;
-  const double fp_3d_8 = results[7].group.footprint_mm2;
+  const std::vector<ImplConfig> configs = paper_configs();  // 2D 1 MiB .. 3D 8 MiB
+  const double fp_2d_1 = implement(configs.front()).group.footprint_mm2;
+  const double fp_3d_8 = implement(configs.back()).group.footprint_mm2;
   EXPECT_LT(fp_3d_8, fp_2d_1);
 }
 

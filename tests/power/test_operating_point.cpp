@@ -11,19 +11,20 @@ namespace mp3d::power {
 namespace {
 
 TEST(OperatingPoint, PaperPointsCoverBothFlowsAndAllCapacities) {
-  const std::vector<OperatingPoint> points = paper_operating_points();
-  ASSERT_EQ(points.size(), 8U);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const OperatingPoint& op = points[i];
-    EXPECT_EQ(op.flow, i < 4 ? phys::Flow::k2D : phys::Flow::k3D);
-    EXPECT_EQ(op.spm_capacity, MiB(1ULL << (i % 4)));
-    EXPECT_GT(op.freq_ghz, 0.5);
-    EXPECT_LT(op.freq_ghz, 1.5);
-    EXPECT_FALSE(op.name.empty());
-  }
-  // 3D runs faster than 2D at every capacity (the paper's Figure 7 driver).
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_GT(points[i + 4].freq_ghz, points[i].freq_ghz) << points[i].name;
+  for (const u64 mib : {1, 2, 4, 8}) {
+    const arch::ClusterConfig cfg = arch::ClusterConfig::mempool(MiB(mib));
+    const OperatingPoint op_2d = make_operating_point(cfg, phys::Flow::k2D);
+    const OperatingPoint op_3d = make_operating_point(cfg, phys::Flow::k3D);
+    EXPECT_EQ(op_2d.flow, phys::Flow::k2D);
+    EXPECT_EQ(op_3d.flow, phys::Flow::k3D);
+    for (const OperatingPoint& op : {op_2d, op_3d}) {
+      EXPECT_EQ(op.spm_capacity, MiB(mib));
+      EXPECT_GT(op.freq_ghz, 0.5);
+      EXPECT_LT(op.freq_ghz, 1.5);
+      EXPECT_FALSE(op.name.empty());
+    }
+    // 3D runs faster than 2D at every capacity (the paper's Figure 7 driver).
+    EXPECT_GT(op_3d.freq_ghz, op_2d.freq_ghz) << op_2d.name;
   }
 }
 
@@ -45,19 +46,23 @@ TEST(EnergyModel, FlowsDifferExactlyWherePhysSays) {
 }
 
 TEST(EnergyModel, AllEventEnergiesArePositive) {
-  for (const OperatingPoint& op : paper_operating_points()) {
-    const EnergyModel em = derive_energy_model(op);
-    EXPECT_GT(em.spm_read_pj, 0.0) << op.name;
-    EXPECT_GT(em.spm_write_pj, em.spm_read_pj) << op.name;
-    EXPECT_GT(em.dma_word_pj, 0.0) << op.name;
-    EXPECT_GT(em.icache_hit_pj, 0.0) << op.name;
-    EXPECT_GT(em.icache_refill_pj, em.icache_hit_pj) << op.name;
-    EXPECT_GT(em.noc_local_hop_pj, 0.0) << op.name;
-    EXPECT_GT(em.noc_global_hop_pj, em.noc_local_hop_pj) << op.name;
-    EXPECT_GT(em.gmem_byte_pj, 0.0) << op.name;
-    EXPECT_GT(em.instr_pj, 0.0) << op.name;
-    EXPECT_GT(em.leakage_mw, 0.0) << op.name;
-    EXPECT_GT(em.background_mw, 0.0) << op.name;
+  for (const phys::Flow flow : {phys::Flow::k2D, phys::Flow::k3D}) {
+    for (const u64 mib : {1, 2, 4, 8}) {
+      const OperatingPoint op =
+          make_operating_point(arch::ClusterConfig::mempool(MiB(mib)), flow);
+      const EnergyModel em = derive_energy_model(op);
+      EXPECT_GT(em.spm_read_pj, 0.0) << op.name;
+      EXPECT_GT(em.spm_write_pj, em.spm_read_pj) << op.name;
+      EXPECT_GT(em.dma_word_pj, 0.0) << op.name;
+      EXPECT_GT(em.icache_hit_pj, 0.0) << op.name;
+      EXPECT_GT(em.icache_refill_pj, em.icache_hit_pj) << op.name;
+      EXPECT_GT(em.noc_local_hop_pj, 0.0) << op.name;
+      EXPECT_GT(em.noc_global_hop_pj, em.noc_local_hop_pj) << op.name;
+      EXPECT_GT(em.gmem_byte_pj, 0.0) << op.name;
+      EXPECT_GT(em.instr_pj, 0.0) << op.name;
+      EXPECT_GT(em.leakage_mw, 0.0) << op.name;
+      EXPECT_GT(em.background_mw, 0.0) << op.name;
+    }
   }
 }
 

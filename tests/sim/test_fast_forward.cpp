@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/cluster.hpp"
@@ -113,22 +112,12 @@ TEST(FastForwardSources, GmemRefillRidesTheSameQueue) {
   EXPECT_EQ(g.next_completion_cycle(predicted), sim::kNever);
 }
 
-/// Word-granular SPM stand-in (same shape as the DMA unit tests').
-class FakeSpm : public arch::DmaSpmPort {
- public:
-  u32 dma_read_spm(u32 addr) override { return words_[addr]; }
-  void dma_write_spm(u32 addr, u32 value) override { words_[addr] = value; }
-  void dma_wake_core(u32 core) override { wakes_.push_back(core); }
-  std::unordered_map<u32, u32> words_;
-  std::vector<u32> wakes_;
-};
-
 TEST(FastForwardSources, DmaNextReadyTracksBacklogAndCompletion) {
   const arch::ClusterConfig cfg = arch::ClusterConfig::mini();
   arch::GlobalMemory gmem(cfg.gmem_base, cfg.gmem_size, cfg.gmem_bytes_per_cycle,
                           cfg.gmem_latency);
   arch::DmaSubsystem dma(cfg);
-  FakeSpm spm;
+  arch::Cluster cluster(cfg);  // the engines' SPM port
   EXPECT_EQ(dma.next_ready_cycle(10), sim::kNever);  // idle subsystem
 
   arch::DmaDescriptor d;
@@ -150,7 +139,7 @@ TEST(FastForwardSources, DmaNextReadyTracksBacklogAndCompletion) {
     responses.clear();
     refills.clear();
     gmem.step(cycle, responses, refills, dma.backlog_bytes());
-    dma.step(cycle, gmem, spm);
+    dma.step(cycle, gmem, cluster);
     if (dma.backlog_bytes() == 0 && !dma.idle()) {
       // Drained but not yet retired: the completion cycle is computable and
       // in the future, which is exactly what a jump needs.

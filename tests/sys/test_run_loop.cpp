@@ -10,6 +10,8 @@
 //   instret + sum(core.stall_*) + core.wfi_cycles == cycles x cores,
 //
 // which guards the bulk charging of fast-forward jumps and sleeping cores.
+// The deadlock report the verdict prints (Cluster::deadlock_diagnostic) is
+// pinned on the same two programs.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -142,6 +144,62 @@ park:
     EXPECT_EQ(o.result.cycles, 60012U);
     EXPECT_EQ(o.result.cycles * cfg.num_cores(), 240048U);
   });
+}
+
+// ---------------------------------------------------------- deadlock report
+
+TEST(DeadlockDiagnostic, GroupsPermanentSleepersByStateAndPc) {
+  arch::ClusterConfig cfg = arch::ClusterConfig::tiny();
+  isa::AsmOptions options;
+  options.default_base = cfg.gmem_base;
+  arch::Cluster cluster(cfg);
+  cluster.load_program(isa::assemble(ctrl_prelude(cfg) + R"(
+.text 0x80000000
+_start:
+    wfi
+    j _start
+)",
+                                     options));
+  const arch::RunResult result = cluster.run(kMaxCycles);
+  ASSERT_TRUE(result.deadlock);
+  ASSERT_EQ(result.cycles, 20007U);
+  // A sleeping core's pc is the instruction it resumes at, past the wfi.
+  EXPECT_EQ(cluster.deadlock_diagnostic(),
+            "cycle 20007, cores by state and pc:\n"
+            "  4 cores wfi at pc=0x80000004: jal zero, 0x80000000"
+            " -- wfi without a wake token\n");
+}
+
+TEST(DeadlockDiagnostic, NamesTheRegisterABlockedLoadWaitsOn) {
+  arch::ClusterConfig cfg = arch::ClusterConfig::tiny();
+  cfg.gmem_latency = 30'000;
+  isa::AsmOptions options;
+  options.default_base = cfg.gmem_base;
+  arch::Cluster cluster(cfg);
+  cluster.load_program(isa::assemble(ctrl_prelude(cfg) + R"(
+.text 0x80000000
+_start:
+    csrr t0, mhartid
+    bnez t0, park
+    li t1, 0x80010000
+    lw a0, 0(t1)
+    mv a1, a0               # stalls until the load returns
+    li t0, EOC
+    sw zero, 0(t0)
+park:
+    wfi
+    j park
+)",
+                                     options));
+  // Stop halfway through the load's gmem latency (the run ends at 60012).
+  const arch::RunResult result = cluster.run(45'000);
+  ASSERT_TRUE(result.hit_max_cycles);
+  // The parked cores still wait for the refill of the line holding `park`.
+  EXPECT_EQ(cluster.deadlock_diagnostic(),
+            "cycle 45000, cores by state and pc:\n"
+            "  1 core running at pc=0x80000014: addi a1, a0, 0"
+            " -- RAW on a0 (load in flight), 1 LSU request outstanding\n"
+            "  3 cores running at pc=0x80000024: wfi -- instruction fetch pending\n");
 }
 
 }  // namespace
